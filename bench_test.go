@@ -182,7 +182,7 @@ func BenchmarkFig5678_HijackRun(b *testing.B) {
 func benchHijackDistributions(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		d, err := core.RunHijackDistributionsParallel(int64(i)*1000+1, 8, false, workers)
+		d, err := core.RunHijackDistributions(int64(i)*1000+1, 8, false, workers)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -50,7 +48,8 @@ func durMS(d time.Duration) float64 {
 // printChaos runs the fault-injection experiment: per fault class, seeded
 // trials on the Figure 9 chaos testbed under the full TopoGuard+ stack,
 // measuring discovery recovery time, defense false positives, and
-// pending-probe leaks. With outPath set it also writes the JSON report.
+// pending-probe leaks. A leak is an error. With outPath set it also
+// writes the JSON report.
 func printChaos(seed int64, trials, workers int, classesCSV, outPath string) error {
 	classes, err := parseChaosClasses(classesCSV)
 	if err != nil {
@@ -75,13 +74,13 @@ func printChaos(seed int64, trials, workers int, classesCSV, outPath string) err
 			c.MaxRecovery.Truncate(time.Millisecond),
 			c.FalseAlerts)
 	}
-	leaked := 0
-	for _, t := range res.Trials {
-		leaked += t.PendingLeaked
-	}
+	leaked, leakErr := chaosLeaks(res.Trials)
 	fmt.Printf("pending probes leaked across all trials: %d (must be 0)\n", leaked)
 	fmt.Println("(no attacker is present: every alert during a fault episode is a false positive;")
 	fmt.Println(" latency spikes legitimately trip the LLI — that is the paper's Fig 10/11 FP source)")
+	if leakErr != nil {
+		return leakErr
+	}
 
 	if outPath == "" {
 		return nil
@@ -119,15 +118,24 @@ func printChaos(seed int64, trials, workers int, classesCSV, outPath string) err
 			report.Metrics[c.Name] = c.Value
 		}
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
+	if err := writeJSON(outPath, report); err != nil {
 		return err
 	}
 	fmt.Printf("chaos report written to %s\n", outPath)
 	return nil
+}
+
+// chaosLeaks totals the pending probes the trials leaked; any leak is an
+// error.
+func chaosLeaks(trials []chaos.TrialResult) (int, error) {
+	leaked := 0
+	for _, t := range trials {
+		leaked += t.PendingLeaked
+	}
+	if leaked != 0 {
+		return leaked, fmt.Errorf("chaos trials leaked %d pending probes", leaked)
+	}
+	return 0, nil
 }
 
 // parseChaosClasses resolves a comma-separated class list; empty selects

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 
 	"sdntamper/internal/controller"
@@ -68,23 +65,28 @@ type discoveryMatrixRow struct {
 	SOFTDPNoDefenses string `json:"softdp_no_defenses"`
 }
 
-func parseKList(csv string) ([]int, error) {
-	var ks []int
-	for _, f := range strings.Split(csv, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		k, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("bad arity %q: %w", f, err)
-		}
-		ks = append(ks, k)
+// checkDetection enforces the link-failure detection claims: sOFTDP
+// detects a dead trunk faster than OFDP and within OFDP's link timeout,
+// neither protocol evicts a live link, and both rediscover the repaired
+// trunk.
+func checkDetection(ofdp, softdp *core.DiscoveryDetectionResult) error {
+	if softdp.Detection >= ofdp.Detection {
+		return fmt.Errorf("softdp detection %v not faster than ofdp %v", softdp.Detection, ofdp.Detection)
 	}
-	if len(ks) == 0 {
-		return nil, fmt.Errorf("empty arity list")
+	if softdp.Detection > controller.Floodlight.LinkTimeout {
+		return fmt.Errorf("softdp detection %v exceeds the OFDP link timeout %v",
+			softdp.Detection, controller.Floodlight.LinkTimeout)
 	}
-	return ks, nil
+	for _, r := range []*core.DiscoveryDetectionResult{ofdp, softdp} {
+		if r.FalseEvictions != 0 {
+			return fmt.Errorf("%s evicted %d live links", r.Protocol, r.FalseEvictions)
+		}
+	}
+	if !softdp.Recovered || !ofdp.Recovered {
+		return fmt.Errorf("repaired trunk not rediscovered (ofdp=%v softdp=%v)",
+			ofdp.Recovered, softdp.Recovered)
+	}
+	return nil
 }
 
 // printDiscovery runs the discovery-protocol experiment: steady-state
@@ -93,12 +95,12 @@ func parseKList(csv string) ([]int, error) {
 // sweep, and the attack matrix under the protocol dimension. It enforces
 // the headline claims — sOFTDP emits strictly fewer steady-state probes
 // at every arity and at least 10x fewer at k>=16, detects a dead trunk
-// faster than OFDP's link timeout, and evicts zero live links — and
-// errors out if any fails, so CI can gate on the exit status.
+// faster than OFDP's link timeout, and neither protocol evicts a live
+// link — and errors out if any fails, so CI can gate on the exit status.
 func printDiscovery(seed int64, kcsv, outPath string) error {
-	ks, err := parseKList(kcsv)
+	ks, err := parseInts(kcsv)
 	if err != nil {
-		return err
+		return fmt.Errorf("-discoveryk: %w", err)
 	}
 	report := discoveryReport{
 		Experiment: "discovery",
@@ -177,20 +179,8 @@ func printDiscovery(seed int64, kcsv, outPath string) error {
 			RecoveryMS:      durMS(res.Recovery),
 		})
 	}
-	ofdpDet, softdpDet := det[0], det[1]
-	if softdpDet.Detection >= ofdpDet.Detection {
-		return fmt.Errorf("softdp detection %v not faster than ofdp %v", softdpDet.Detection, ofdpDet.Detection)
-	}
-	if softdpDet.Detection > controller.Floodlight.LinkTimeout {
-		return fmt.Errorf("softdp detection %v exceeds the OFDP link timeout %v",
-			softdpDet.Detection, controller.Floodlight.LinkTimeout)
-	}
-	if softdpDet.FalseEvictions != 0 {
-		return fmt.Errorf("softdp evicted %d live links", softdpDet.FalseEvictions)
-	}
-	if !softdpDet.Recovered || !ofdpDet.Recovered {
-		return fmt.Errorf("repaired trunk not rediscovered (ofdp=%v softdp=%v)",
-			ofdpDet.Recovered, softdpDet.Recovered)
+	if err := checkDetection(det[0], det[1]); err != nil {
+		return err
 	}
 
 	header("DISCOVERY: sOFTDP shard byte-identity (k=4 fat-tree, churn scenario)")
@@ -225,11 +215,7 @@ func printDiscovery(seed int64, kcsv, outPath string) error {
 	}
 
 	if outPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+		if err := writeJSON(outPath, report); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %s\n", outPath)

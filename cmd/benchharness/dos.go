@@ -1,13 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"sdntamper/internal/attack"
 	"sdntamper/internal/core"
+	"sdntamper/internal/exp"
 )
 
 // dosReport is the JSON artifact the dos experiment writes. The
@@ -54,12 +53,14 @@ type dosWallRow struct {
 
 // dosConfigs is the shard/parallel sweep every variant runs: the serial
 // single-shard reference plus the most adversarial sharded configuration.
-var dosConfigs = []struct {
-	shards   int
-	parallel bool
-}{
-	{1, false},
-	{2, true},
+var dosConfigs = []exp.Config{{Shards: 1}, {Shards: 2, Parallel: true}}
+
+// checkDoS rejects auto-blocks on legitimate traffic.
+func checkDoS(row dosVariantRow) error {
+	if row.FalseBlocks != 0 {
+		return fmt.Errorf("%s: %d false blocks on legitimate traffic", row.Variant, row.FalseBlocks)
+	}
+	return nil
 }
 
 func dosRow(r *core.DoSResult) dosVariantRow {
@@ -106,41 +107,32 @@ func printDoS(seed int64, k int, floor float64, outPath string) error {
 	}
 
 	for _, variant := range []attack.DoSVariant{attack.SYNFlood, attack.LinkSaturation} {
-		var ref *core.DoSResult
-		for _, cfg := range dosConfigs {
-			res, err := core.RunDoS(seed, k, cfg.shards, cfg.parallel, variant)
+		results, err := exp.Equivalent(dosConfigs, func(cfg exp.Config) (*core.DoSResult, exp.Fingerprint, error) {
+			res, err := core.RunDoS(seed, k, cfg.Shards, cfg.Parallel, variant)
 			if err != nil {
-				return fmt.Errorf("%s shards=%d: %w", variant, cfg.shards, err)
+				return nil, exp.Fingerprint{}, err
 			}
 			eps := float64(res.Events) / res.Wall.Seconds()
 			report.Wall = append(report.Wall, dosWallRow{
 				Variant:      res.Variant,
-				Shards:       cfg.shards,
-				Parallel:     cfg.parallel,
+				Shards:       cfg.Shards,
+				Parallel:     cfg.Parallel,
 				WallSeconds:  res.Wall.Seconds(),
 				EventsPerSec: eps,
 			})
 			if floor > 0 && eps < floor {
-				return fmt.Errorf("%s shards=%d: %.0f events/s below the %.0f floor",
-					variant, cfg.shards, eps, floor)
+				return nil, exp.Fingerprint{}, fmt.Errorf("%.0f events/s below the %.0f floor", eps, floor)
 			}
-			if ref == nil {
-				ref = res
-				continue
-			}
-			if dosRow(res) != dosRow(ref) {
-				return fmt.Errorf("%s shards=%d parallel=%v: deterministic surface diverged from serial reference",
-					variant, cfg.shards, cfg.parallel)
-			}
-			if res.MetricsProm != ref.MetricsProm {
-				return fmt.Errorf("%s shards=%d parallel=%v: merged metrics not byte-identical",
-					variant, cfg.shards, cfg.parallel)
-			}
+			return res, exp.Fingerprint{Invariants: dosRow(res), Metrics: res.MetricsProm}, nil
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", variant, err)
 		}
-		if ref.FalseBlocks != 0 {
-			return fmt.Errorf("%s: %d false blocks on legitimate traffic", variant, ref.FalseBlocks)
+		row := dosRow(results[0])
+		if err := checkDoS(row); err != nil {
+			return err
 		}
-		report.Invariants = append(report.Invariants, dosRow(ref))
+		report.Invariants = append(report.Invariants, row)
 	}
 
 	fmt.Printf("%-12s %-10s %-16s %-24s %-10s %s\n",
@@ -165,11 +157,7 @@ func printDoS(seed int64, k int, floor float64, outPath string) error {
 	if outPath == "" {
 		return nil
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
+	if err := writeJSON(outPath, report); err != nil {
 		return err
 	}
 	fmt.Println("report written to", outPath)

@@ -1,12 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"sdntamper/internal/core"
+	"sdntamper/internal/exp"
 )
 
 // failoverReport is the JSON artifact the failover experiment writes.
@@ -31,23 +30,36 @@ type failoverWallRow struct {
 
 // failoverConfigs is the sweep every stage runs: the serial single-shard
 // reference plus two sharded parallel configurations.
-var failoverConfigs = []struct {
-	shards   int
-	parallel bool
-}{
-	{1, false},
-	{2, true},
-	{5, true},
+var failoverConfigs = []exp.Config{{Shards: 1}, {Shards: 2, Parallel: true}, {Shards: 5, Parallel: true}}
+
+// failoverSweep runs one stage at every configuration through
+// exp.Equivalent and records each run's wall time.
+func failoverSweep[R any](report *failoverReport, stage string, run func(exp.Config) (R, exp.Fingerprint, error)) ([]R, error) {
+	results, err := exp.Equivalent(failoverConfigs, func(cfg exp.Config) (R, exp.Fingerprint, error) {
+		start := time.Now()
+		r, fp, err := run(cfg)
+		report.Wall = append(report.Wall, failoverWallRow{
+			Stage: stage, Shards: cfg.Shards, Parallel: cfg.Parallel,
+			WallSeconds: time.Since(start).Seconds(),
+		})
+		return r, fp, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", stage, err)
+	}
+	return results, nil
 }
 
-// failoverRow canonicalizes a result for cross-configuration comparison:
-// the shard/parallel identity fields differ by design, everything else
-// must match the serial reference byte for byte.
-func failoverRow(r *core.FailoverResult) (string, error) {
-	c := *r
-	c.Shards, c.Parallel = 0, false
-	buf, err := json.Marshal(&c)
-	return string(buf), err
+// checkFailover rejects probes leaked across the failover and defense
+// alerts it raised: no attacker is present, so every alert is spurious.
+func checkFailover(fo *core.FailoverResult) error {
+	if fo.PendingLeaked != 0 {
+		return fmt.Errorf("failover leaked %d pending probes", fo.PendingLeaked)
+	}
+	if fo.FalseAlerts != 0 {
+		return fmt.Errorf("failover raised %d spurious defense alerts", fo.FalseAlerts)
+	}
+	return nil
 }
 
 // printFailover runs the clustered control-plane experiment: the
@@ -69,41 +81,23 @@ func printFailover(seed int64, outPath string) error {
 			"the re-homed switches and records latency measurements unenforced.",
 	}
 
-	var refRow, refProm string
-	for _, cfg := range failoverConfigs {
-		start := time.Now()
-		res, err := core.RunFailover(seed, cfg.shards, cfg.parallel)
+	failovers, err := failoverSweep(&report, "failover", func(cfg exp.Config) (*core.FailoverResult, exp.Fingerprint, error) {
+		res, err := core.RunFailover(seed, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			return fmt.Errorf("failover shards=%d: %w", cfg.shards, err)
+			return nil, exp.Fingerprint{}, err
 		}
-		report.Wall = append(report.Wall, failoverWallRow{
-			Stage: "failover", Shards: cfg.shards, Parallel: cfg.parallel,
-			WallSeconds: time.Since(start).Seconds(),
-		})
-		row, err := failoverRow(res)
-		if err != nil {
-			return err
-		}
-		if refRow == "" {
-			refRow, refProm = row, res.MetricsProm
-			report.Failover = res
-			continue
-		}
-		if row != refRow {
-			return fmt.Errorf("failover shards=%d parallel=%v: deterministic surface diverged from serial reference",
-				cfg.shards, cfg.parallel)
-		}
-		if res.MetricsProm != refProm {
-			return fmt.Errorf("failover shards=%d parallel=%v: merged metrics not byte-identical",
-				cfg.shards, cfg.parallel)
-		}
+		// The shard/parallel identity fields differ by design.
+		inv := *res
+		inv.Shards, inv.Parallel = 0, false
+		return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+	})
+	if err != nil {
+		return err
 	}
+	report.Failover = failovers[0]
 	fo := report.Failover
-	if fo.PendingLeaked != 0 {
-		return fmt.Errorf("failover leaked %d pending probes", fo.PendingLeaked)
-	}
-	if fo.FalseAlerts != 0 {
-		return fmt.Errorf("failover raised %d spurious defense alerts", fo.FalseAlerts)
+	if err := checkFailover(fo); err != nil {
+		return err
 	}
 	fmt.Println("replica 1 (master of switches 3-4) crashed under full TOPOGUARD+:")
 	for _, line := range fo.Timeline {
@@ -115,35 +109,17 @@ func printFailover(seed int64, outPath string) error {
 	fmt.Printf("pending probes leaked: %d\n", fo.PendingLeaked)
 	fmt.Printf("spurious alerts      : %d\n", fo.FalseAlerts)
 
-	var refMatrix, refMatrixProm string
-	for _, cfg := range failoverConfigs {
-		start := time.Now()
-		res, err := core.RunPartitionedMatrix(seed, cfg.shards, cfg.parallel)
+	matrices, err := failoverSweep(&report, "matrix", func(cfg exp.Config) (*core.PartitionMatrixResult, exp.Fingerprint, error) {
+		res, err := core.RunPartitionedMatrix(seed, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			return fmt.Errorf("matrix shards=%d: %w", cfg.shards, err)
+			return nil, exp.Fingerprint{}, err
 		}
-		report.Wall = append(report.Wall, failoverWallRow{
-			Stage: "matrix", Shards: cfg.shards, Parallel: cfg.parallel,
-			WallSeconds: time.Since(start).Seconds(),
-		})
-		rows, err := json.Marshal(res.Rows)
-		if err != nil {
-			return err
-		}
-		if refMatrix == "" {
-			refMatrix, refMatrixProm = string(rows), res.MetricsProm
-			report.Matrix = res.Rows
-			continue
-		}
-		if string(rows) != refMatrix {
-			return fmt.Errorf("matrix shards=%d parallel=%v: rows diverged from serial reference",
-				cfg.shards, cfg.parallel)
-		}
-		if res.MetricsProm != refMatrixProm {
-			return fmt.Errorf("matrix shards=%d parallel=%v: merged metrics not byte-identical",
-				cfg.shards, cfg.parallel)
-		}
+		return res, exp.Fingerprint{Invariants: res.Rows, Metrics: res.MetricsProm}, nil
+	})
+	if err != nil {
+		return err
 	}
+	report.Matrix = matrices[0].Rows
 	fmt.Println("\npartitioned-view matrix (switches 1-2 on replica 0, 3-4 on replica 1):")
 	fmt.Printf("%-45s %-11s %-11s %-11s %s\n", "Attack", "Replicated", "Fabricated", "Verdict", "Detected by")
 	for _, row := range report.Matrix {
@@ -165,11 +141,7 @@ func printFailover(seed int64, outPath string) error {
 	if outPath == "" {
 		return nil
 	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(buf, '\n'), 0o644); err != nil {
+	if err := writeJSON(outPath, report); err != nil {
 		return err
 	}
 	fmt.Println("report written to", outPath)

@@ -41,6 +41,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -187,6 +188,15 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
 }
 
+// writeJSON writes an experiment report as indented JSON.
+func writeJSON(path string, report any) error {
+	buf, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
 func printTableI(seed int64) error {
 	header("TABLE I: Liveness Probe Options (1000 scans, RTT excluded)")
 	fmt.Printf("%-15s %-10s %-16s %s\n", "Type", "Stealth", "Requirements", "Timing (mean ± std)")
@@ -249,7 +259,7 @@ func printFig5678(seed int64, runs, workers int) error {
 		{"mechanism only (50ms ARP probes, calibrated timeout)", false},
 		{"with nmap tool-cost model (Table I ARP scan 133.5ms)", true},
 	} {
-		d, err := core.RunHijackDistributionsParallel(seed, runs, mode.tool, workers)
+		d, err := core.RunHijackDistributions(seed, runs, mode.tool, workers)
 		if err != nil {
 			return err
 		}

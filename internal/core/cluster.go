@@ -160,11 +160,16 @@ func (s *ClusterScenario) AlertTotal() int {
 	return total
 }
 
-// alertReasonCount sums one alert reason across the replicas.
-func (s *ClusterScenario) alertReasonCount(reason string) int {
+// Host returns the named host.
+func (s *ClusterScenario) Host(name string) *dataplane.Host { return s.Net.Host(name) }
+
+// alerts counts the alerts every replica raised for any of the reasons.
+func (s *ClusterScenario) alerts(reasons []string) int {
 	total := 0
 	for _, ctl := range s.ctls {
-		total += len(ctl.AlertsByReason(reason))
+		for _, r := range reasons {
+			total += len(ctl.AlertsByReason(r))
+		}
 	}
 	return total
 }
@@ -173,11 +178,8 @@ func (s *ClusterScenario) alertReasonCount(reason string) int {
 func (s *ClusterScenario) detectedBy() []string {
 	var out []string
 	add := func(name string, reasons ...string) {
-		for _, r := range reasons {
-			if s.alertReasonCount(r) > 0 {
-				out = append(out, name)
-				return
-			}
+		if s.alerts(reasons) > 0 {
+			out = append(out, name)
 		}
 	}
 	add("TopoGuard", topoguard.ReasonLLDPFromHost, topoguard.ReasonFirstHopFromSwitch,
@@ -354,150 +356,102 @@ type PartitionMatrixResult struct {
 // no control baselines for, and the rate monitor — purely local to each
 // master's ingress ports — is indifferent to partitioning.
 func RunPartitionedMatrix(seed int64, shards int, parallel bool) (*PartitionMatrixResult, error) {
+	rows := []matrixRow{
+		{"OOB port amnesia + link fabrication", clusterFabricationCell(false)},
+		{"in-band port amnesia + link fabrication", clusterFabricationCell(true)},
+		{"distributed SYN flood (spoofed sources)", floodCell(attack.SYNFlood)},
+		{"distributed link saturation (UDP)", floodCell(attack.LinkSaturation)},
+	}
+	var cols []matrixColumn
+	for _, replicated := range []bool{true, false} {
+		cols = append(cols, matrixColumn{def: FullStack(), cluster: &clusterView{shards, parallel, replicated}})
+	}
+	cells, err := runMatrix(seed, rows, cols)
+	if err != nil {
+		return nil, err
+	}
 	res := &PartitionMatrixResult{Seed: seed, Shards: shards, Parallel: parallel}
 	var prom strings.Builder
-	type rowSpec struct {
-		name string
-		run  func(rowSeed int64, replicated bool) (PartitionRow, string, error)
-	}
-	specs := []rowSpec{
-		{"OOB port amnesia + link fabrication", func(rs int64, rep bool) (PartitionRow, string, error) {
-			return runClusterFabricationRow(rs, shards, parallel, false, rep)
-		}},
-		{"in-band port amnesia + link fabrication", func(rs int64, rep bool) (PartitionRow, string, error) {
-			return runClusterFabricationRow(rs, shards, parallel, true, rep)
-		}},
-		{"distributed SYN flood (spoofed sources)", func(rs int64, rep bool) (PartitionRow, string, error) {
-			return runClusterDoSRow(rs, shards, parallel, attack.SYNFlood, rep)
-		}},
-		{"distributed link saturation (UDP)", func(rs int64, rep bool) (PartitionRow, string, error) {
-			return runClusterDoSRow(rs, shards, parallel, attack.LinkSaturation, rep)
-		}},
-	}
-	for i, sp := range specs {
-		for _, replicated := range []bool{true, false} {
-			row, rowProm, err := sp.run(seed+int64(i)*101, replicated)
-			if err != nil {
-				return nil, fmt.Errorf("%s (replicated=%v): %w", sp.name, replicated, err)
-			}
-			row.Attack = sp.name
-			row.Replicated = replicated
-			res.Rows = append(res.Rows, row)
-			prom.WriteString(rowProm)
+	for i, rowCells := range cells {
+		for j, c := range rowCells {
+			res.Rows = append(res.Rows, PartitionRow{
+				Attack:     rows[i].name,
+				Replicated: cols[j].cluster.replicated,
+				Fabricated: c.fabricated,
+				DetectedBy: c.detectedBy,
+				Verdict:    c.verdict,
+			})
+			prom.WriteString(c.prom)
 		}
 	}
 	res.MetricsProm = prom.String()
 	return res, nil
 }
 
-// runClusterFabricationRow runs one link-fabrication attack against the
-// partitioned TOPOGUARD+ control plane.
-func runClusterFabricationRow(seed int64, shards int, parallel, inband, replicated bool) (PartitionRow, string, error) {
-	s := NewClusterFig9Scenario(seed, shards, TopoGuardPlus(), replicated)
-	defer s.Close()
-	s.Net.SetParallel(parallel)
-	// Each replica watches for the fabricated link committing on ITS
-	// side: under partitioned views the two directions land on different
-	// masters, so both must be observed.
-	recs := make([]*linkSeen, 2)
-	for i := range recs {
-		recs[i] = &linkSeen{want: FabricatedLinkFig9()}
-		s.Replica(i).Register(recs[i])
-	}
-	if err := s.Run(2 * time.Second); err != nil {
-		return PartitionRow{}, "", err
-	}
-	// HOST-profile the attacker ports, as in Figure 1.
-	s.Net.Host(HostAttackerA).ARPPing(s.Net.Host(HostClient).IP(), 300*time.Millisecond, func(dataplane.ProbeResult) {})
-	s.Net.Host(HostAttackerB).ARPPing(s.Net.Host(HostServer).IP(), 300*time.Millisecond, func(dataplane.ProbeResult) {})
-	// Calibration: LLI control baselines on both masters.
-	if err := s.Run(62 * time.Second); err != nil {
-		return PartitionRow{}, "", err
-	}
-	alertsBefore := s.AlertTotal()
-	if inband {
-		fab := attack.NewInBandFabrication(s.Net.ControlKernel(),
-			s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), 0)
-		fab.Start()
-	} else {
-		fab := attack.NewOOBFabrication(s.Net.ControlKernel(),
-			s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB), s.OOB,
-			attack.FabricationConfig{UseAmnesia: true})
-		fab.Start()
-	}
-	if err := s.Run(50 * time.Second); err != nil {
-		return PartitionRow{}, "", err
-	}
-	fabricated := recs[0].count+recs[1].count > 0
-	row := PartitionRow{Fabricated: fabricated, DetectedBy: s.detectedBy()}
-	alerted := s.AlertTotal() > alertsBefore
-	switch {
-	case fabricated && !alerted:
-		row.Verdict = Undetected
-	case fabricated && alerted:
-		row.Verdict = Detected
-	case alerted:
-		row.Verdict = Blocked
-	default:
-		row.Verdict = Failed
-	}
-	prom, err := s.mergedProm()
-	return row, prom, err
+// clusterView is a matrix column's clustered control plane: its shard
+// geometry and whether the replicas share the replicated log.
+type clusterView struct {
+	shards     int
+	parallel   bool
+	replicated bool
 }
 
-// runClusterDoSRow runs one distributed flood against the partitioned
-// full stack (TOPOGUARD+ plus per-replica rate monitors).
-func runClusterDoSRow(seed int64, shards int, parallel bool, variant attack.DoSVariant, replicated bool) (PartitionRow, string, error) {
-	def := FullStack()
-	rcfg := DoSRateMonConfig(variant)
-	def.RateMonConfig = &rcfg
-	s := NewClusterFig9Scenario(seed, shards, def, replicated)
-	defer s.Close()
-	s.Net.SetParallel(parallel)
-	if err := s.Run(2 * time.Second); err != nil {
-		return PartitionRow{}, "", err
+func (v *clusterView) scenario(seed int64, def Defenses) *ClusterScenario {
+	s := NewClusterFig9Scenario(seed, v.shards, def, v.replicated)
+	s.Net.SetParallel(v.parallel)
+	return s
+}
+
+// result reports a finished clustered cell: its verdict, the
+// defenses that alerted anywhere in the cluster, and the merged metrics
+// snapshot.
+func (s *ClusterScenario) result(v Verdict, fabricated bool) (cellResult, error) {
+	res := cellResult{verdict: v, fabricated: fabricated, detectedBy: s.detectedBy()}
+	var err error
+	res.prom, err = s.mergedProm()
+	return res, err
+}
+
+// clusterFabricationCell runs one port-amnesia link fabrication against
+// the partitioned control plane. The rate monitor has nothing to see in
+// a relay, so the column's stack runs without it.
+func clusterFabricationCell(inband bool) matrixCell {
+	return func(col matrixColumn, seed int64) (cellResult, error) {
+		def := col.def
+		def.RateMon = false
+		s := col.cluster.scenario(seed, def)
+		defer s.Close()
+		// Each replica watches for the fabricated link committing on ITS
+		// side: under partitioned views the two directions land on
+		// different masters, so both must be observed.
+		recs := make([]*linkSeen, 2)
+		for i := range recs {
+			recs[i] = &linkSeen{want: FabricatedLinkFig9()}
+			s.Replica(i).Register(recs[i])
+		}
+		if err := s.Run(2 * time.Second); err != nil {
+			return cellResult{}, err
+		}
+		// HOST-profile the attacker ports, as in Figure 1.
+		s.Host(HostAttackerA).ARPPing(s.Host(HostClient).IP(), 300*time.Millisecond, func(dataplane.ProbeResult) {})
+		s.Host(HostAttackerB).ARPPing(s.Host(HostServer).IP(), 300*time.Millisecond, func(dataplane.ProbeResult) {})
+		// Calibration: LLI control baselines on both masters.
+		if err := s.Run(62 * time.Second); err != nil {
+			return cellResult{}, err
+		}
+		alertsBefore := s.AlertTotal()
+		if inband {
+			attack.NewInBandFabrication(s.Net.ControlKernel(),
+				s.Host(HostAttackerA), s.Host(HostAttackerB), 0).Start()
+		} else {
+			attack.NewOOBFabrication(s.Net.ControlKernel(),
+				s.Host(HostAttackerA), s.Host(HostAttackerB), s.OOB,
+				attack.FabricationConfig{UseAmnesia: true}).Start()
+		}
+		if err := s.Run(50 * time.Second); err != nil {
+			return cellResult{}, err
+		}
+		fabricated := recs[0].count+recs[1].count > 0
+		return s.result(landedVerdict(fabricated, s.AlertTotal() > alertsBefore), fabricated)
 	}
-	victim := s.Net.Host(HostServer)
-	attackers := []*dataplane.Host{s.Net.Host(HostAttackerA), s.Net.Host(HostAttackerB)}
-	for _, a := range attackers {
-		a.ARPPing(victim.IP(), time.Second, func(dataplane.ProbeResult) {})
-	}
-	if err := s.Run(2 * time.Second); err != nil {
-		return PartitionRow{}, "", err
-	}
-	cfg := attack.DoSConfig{Variant: variant, Seed: seed}
-	if variant == attack.SYNFlood {
-		cfg.PacketsPerSec = 2500
-	} else {
-		cfg.PacketsPerSec = 1000
-	}
-	flood := attack.NewDoS(attackers, victim.MAC(), victim.IP(), cfg)
-	flood.Announce()
-	if err := s.Run(time.Second); err != nil {
-		return PartitionRow{}, "", err
-	}
-	rxBefore := victim.RxFrames()
-	flood.Start()
-	if err := s.Run(8 * time.Second); err != nil {
-		return PartitionRow{}, "", err
-	}
-	flood.Stop()
-	if err := s.Run(time.Second); err != nil {
-		return PartitionRow{}, "", err
-	}
-	delivered := float64(victim.RxFrames()-rxBefore) / float64(flood.PacketsSent())
-	alerted := s.alertReasonCount(ratemon.ReasonPortFlood) > 0
-	row := PartitionRow{Fabricated: false, DetectedBy: s.detectedBy()}
-	switch {
-	case !alerted && delivered > 0.9:
-		row.Verdict = Undetected
-	case alerted && delivered < 0.7:
-		row.Verdict = Blocked
-	case alerted:
-		row.Verdict = Detected
-	default:
-		row.Verdict = Failed
-	}
-	prom, err := s.mergedProm()
-	return row, prom, err
 }

@@ -1,12 +1,12 @@
 package core_test
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
 	"sdntamper/internal/core"
+	"sdntamper/internal/exp"
 )
 
 // TestClusterFailover pins the headline failover invariants: the crash
@@ -60,33 +60,23 @@ func TestClusterFailover(t *testing.T) {
 // merged metrics snapshot are byte-identical across shard counts and
 // serial/parallel execution.
 func TestClusterFailoverByteIdentical(t *testing.T) {
-	render := func(shards int, parallel bool) (string, string) {
-		res, err := core.RunFailover(21, shards, parallel)
+	_, err := exp.Equivalent(clusterSweep, func(cfg exp.Config) (*core.FailoverResult, exp.Fingerprint, error) {
+		res, err := core.RunFailover(21, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			t.Fatal(err)
+			return nil, exp.Fingerprint{}, err
 		}
-		res.Shards, res.Parallel = 0, false // identity fields differ by design
-		row, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(row), res.MetricsProm
-	}
-	wantRow, wantProm := render(1, false)
-	for _, tc := range []struct {
-		shards   int
-		parallel bool
-	}{{2, true}, {5, true}} {
-		row, prom := render(tc.shards, tc.parallel)
-		if row != wantRow {
-			t.Fatalf("shards=%d parallel=%v failover row diverged:\n%s\nvs serial:\n%s",
-				tc.shards, tc.parallel, row, wantRow)
-		}
-		if prom != wantProm {
-			t.Fatalf("shards=%d parallel=%v merged metrics diverged from serial", tc.shards, tc.parallel)
-		}
+		inv := *res
+		inv.Shards, inv.Parallel = 0, false // identity fields differ by design
+		return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
+
+// clusterSweep is the serial reference plus two sharded parallel
+// configurations.
+var clusterSweep = []exp.Config{{Shards: 1}, {Shards: 2, Parallel: true}, {Shards: 5, Parallel: true}}
 
 // TestPartitionedMatrix pins the partitioned-view attack matrix: the
 // LLI cannot enforce on links whose endpoints answer to different
@@ -151,30 +141,16 @@ func TestPartitionedMatrix(t *testing.T) {
 // rows and the concatenated merged metrics surface — is byte-identical
 // across the shard/parallel sweep.
 func TestPartitionedMatrixByteIdentical(t *testing.T) {
-	render := func(shards int, parallel bool) (string, string) {
-		res, err := core.RunPartitionedMatrix(33, shards, parallel)
+	_, err := exp.Equivalent(clusterSweep, func(cfg exp.Config) (*core.PartitionMatrixResult, exp.Fingerprint, error) {
+		res, err := core.RunPartitionedMatrix(33, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			t.Fatal(err)
+			return nil, exp.Fingerprint{}, err
 		}
-		res.Shards, res.Parallel = 0, false
-		rows, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(rows), res.MetricsProm
-	}
-	wantRows, wantProm := render(1, false)
-	for _, tc := range []struct {
-		shards   int
-		parallel bool
-	}{{2, true}, {5, true}} {
-		rows, prom := render(tc.shards, tc.parallel)
-		if rows != wantRows {
-			t.Fatalf("shards=%d parallel=%v matrix rows diverged:\n%s\nvs serial:\n%s",
-				tc.shards, tc.parallel, rows, wantRows)
-		}
-		if prom != wantProm {
-			t.Fatalf("shards=%d parallel=%v merged metrics diverged from serial", tc.shards, tc.parallel)
-		}
+		inv := *res
+		inv.Shards, inv.Parallel = 0, false
+		return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -127,7 +127,7 @@ func TestFig4Distribution(t *testing.T) {
 }
 
 func TestHijackDistributionsMechanism(t *testing.T) {
-	d, err := RunHijackDistributions(33, 15, false)
+	d, err := RunHijackDistributions(33, 15, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +161,11 @@ func TestHijackDistributionsWithToolOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long experiment")
 	}
-	mech, err := RunHijackDistributions(34, 8, false)
+	mech, err := RunHijackDistributions(34, 8, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tool, err := RunHijackDistributions(34, 8, true)
+	tool, err := RunHijackDistributions(34, 8, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

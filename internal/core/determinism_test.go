@@ -73,19 +73,62 @@ func TestParallelExecutorByteIdentical(t *testing.T) {
 		}
 		return out
 	}
-	serial, err := RunHijackDistributions(4242, 10, false)
+	serial, err := RunHijackDistributions(4242, 10, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := render(serial)
-	for _, workers := range []int{0, 2, 5} {
-		par, err := RunHijackDistributionsParallel(4242, 10, false, workers)
+	for _, workers := range []int{0, 2, 4, 5} {
+		par, err := RunHijackDistributions(4242, 10, false, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := render(par); got != want {
 			t.Fatalf("workers=%d diverged from serial:\n--- serial ---\n%s--- parallel ---\n%s", workers, want, got)
 		}
+	}
+}
+
+// TestParallelMatchesSequential checks that a serial run and a four-worker
+// run of the same seeds give the same merged series, sample for sample.
+func TestParallelMatchesSequential(t *testing.T) {
+	seq, err := RunHijackDistributions(81, 12, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunHijackDistributions(81, 12, false, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Failed != par.Failed {
+		t.Fatalf("failed counts differ: %d vs %d", seq.Failed, par.Failed)
+	}
+	if seq.AttackerUp.N() != par.AttackerUp.N() {
+		t.Fatalf("sample counts differ: %d vs %d", seq.AttackerUp.N(), par.AttackerUp.N())
+	}
+	// Per-run kernels are private and seeded identically, so the merged
+	// series must be identical sample for sample.
+	a, b := seq.AttackerUp.Samples(), par.AttackerUp.Samples()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("sample %d differs: %v vs %v", i, a[i], b[i])
+		}
+	}
+	if seq.ControllerAck.Mean() != par.ControllerAck.Mean() {
+		t.Fatal("aggregate means differ")
+	}
+}
+
+func TestParallelWorkerClamping(t *testing.T) {
+	d, err := RunHijackDistributions(82, 3, false, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.AttackerUp.N()+d.Failed != 3 {
+		t.Fatalf("runs accounted = %d", d.AttackerUp.N()+d.Failed)
+	}
+	if _, err := RunHijackDistributions(83, 4, false, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -268,15 +268,12 @@ type DiscoveryIdentityResult struct {
 // discoveryIdentityConfigs is the shard/parallel sweep the sOFTDP
 // byte-identity gate runs: serial single-kernel reference, then 2 and 5
 // shards each serial and parallel.
-var discoveryIdentityConfigs = []struct {
-	shards   int
-	parallel bool
-}{
-	{1, false},
-	{2, false},
-	{2, true},
-	{5, false},
-	{5, true},
+var discoveryIdentityConfigs = []exp.Config{
+	{Shards: 1},
+	{Shards: 2},
+	{Shards: 2, Parallel: true},
+	{Shards: 5},
+	{Shards: 5, Parallel: true},
 }
 
 // RunDiscoveryByteIdentity drives a churn-heavy sOFTDP scenario — host
@@ -288,21 +285,13 @@ var discoveryIdentityConfigs = []struct {
 // serial reference: sOFTDP's event timers derive from sim.MixSeed and
 // identity, never from kernel RNG state or shard geometry.
 func RunDiscoveryByteIdentity(seed int64) ([]DiscoveryIdentityResult, error) {
-	var out []DiscoveryIdentityResult
-	for _, cfg := range discoveryIdentityConfigs {
-		res, err := runDiscoveryIdentityOnce(seed, cfg.shards, cfg.parallel)
+	return exp.Equivalent(discoveryIdentityConfigs, func(cfg exp.Config) (DiscoveryIdentityResult, exp.Fingerprint, error) {
+		res, err := runDiscoveryIdentityOnce(seed, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			return nil, fmt.Errorf("shards=%d parallel=%v: %w", cfg.shards, cfg.parallel, err)
+			return DiscoveryIdentityResult{}, exp.Fingerprint{}, err
 		}
-		out = append(out, *res)
-	}
-	for _, r := range out[1:] {
-		if r.Fingerprint != out[0].Fingerprint {
-			return out, fmt.Errorf("shards=%d parallel=%v: fingerprint diverges from serial reference",
-				r.Shards, r.Parallel)
-		}
-	}
-	return out, nil
+		return *res, exp.Fingerprint{Metrics: res.Fingerprint}, nil
+	})
 }
 
 func runDiscoveryIdentityOnce(seed int64, shards int, parallel bool) (*DiscoveryIdentityResult, error) {
@@ -410,36 +399,25 @@ type DiscoveryMatrixRow struct {
 // only way to draw a probe out of an event-driven prober). Row order
 // and the per-row seed stride match RunAttackMatrix.
 func RunDiscoveryMatrix(seed int64) ([]DiscoveryMatrixRow, error) {
-	type spec struct {
-		name string
-		fn   matrixCell
-		seed int64
-	}
-	run3 := func(sp spec) (DiscoveryMatrixRow, error) {
-		row := DiscoveryMatrixRow{Attack: sp.name}
-		var err error
-		if row.OFDPFullStack, err = sp.fn(FullStack(), sp.seed); err != nil {
-			return row, err
-		}
-		if row.SOFTDPFullStack, err = sp.fn(FullStack(), sp.seed+1, softdpOpt()); err != nil {
-			return row, err
-		}
-		if row.SOFTDPNoDefenses, err = sp.fn(NoDefenses(), sp.seed+2, softdpOpt()); err != nil {
-			return row, err
-		}
-		return row, nil
-	}
-	rows := matrixSpecs()
-	rows = append(rows, matrixSpec{
+	rows := append(attackRows(), matrixRow{
 		name: "adaptive OOB amnesia (re-flap after bridge)",
-		fn: fabricationCell(attack.FabricationConfig{
+		run: fabricationCell(attack.FabricationConfig{
 			UseAmnesia:        true,
 			ReflapAfterBridge: true,
 		}),
 	})
-	var specs []spec
-	for i, sp := range rows {
-		specs = append(specs, spec{name: sp.name, fn: sp.fn, seed: seed + int64(i)*101})
+	softdp := []controller.Option{softdpOpt()}
+	cells, err := runMatrix(seed, rows, []matrixColumn{
+		{def: FullStack()},
+		{def: FullStack(), ctlOpts: softdp, seedOffset: 1},
+		{def: NoDefenses(), ctlOpts: softdp, seedOffset: 2},
+	})
+	if err != nil {
+		return nil, err
 	}
-	return exp.Grid(specs, 0, run3)
+	out := make([]DiscoveryMatrixRow, len(rows))
+	for i, c := range cells {
+		out[i] = DiscoveryMatrixRow{rows[i].name, c[0].verdict, c[1].verdict, c[2].verdict}
+	}
+	return out, nil
 }

@@ -198,3 +198,40 @@ func TestSOFTDPShardedByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestDiscoveryMatrix pins the attack matrix under the discovery-protocol
+// dimension at seed 1. Every cell is exact except the adaptive attacker
+// against sOFTDP with the full stack, which depends on the seed: across
+// seeds 1-20 it reads blocked 8 times, detected 8 times and undetected 4
+// times (seeds 5, 13, 18 and 19). That row pins only its other two cells.
+func TestDiscoveryMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long experiment")
+	}
+	rows, err := RunDiscoveryMatrix(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []DiscoveryMatrixRow{
+		{"naive link fabrication (LLDP relay)", Blocked, Failed, Failed},
+		{"OOB port amnesia + link fabrication", Blocked, Failed, Failed},
+		{"in-band port amnesia + link fabrication", Blocked, Failed, Failed},
+		{"naive host hijack (victim online)", Blocked, Blocked, Undetected},
+		{"port probing + host hijack (victim in transit)", Undetected, Undetected, Undetected},
+		{"distributed SYN flood (spoofed sources)", Blocked, Blocked, Undetected},
+		{"distributed link saturation (UDP)", Blocked, Blocked, Undetected},
+		{"adaptive OOB amnesia (re-flap after bridge)", Blocked, "", Undetected},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		got := rows[i]
+		if w.SOFTDPFullStack == "" {
+			got.SOFTDPFullStack = ""
+		}
+		if got != w {
+			t.Errorf("row %d: got %+v, want %+v", i, rows[i], w)
+		}
+	}
+}

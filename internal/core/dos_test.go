@@ -7,6 +7,7 @@ import (
 
 	"sdntamper/internal/attack"
 	"sdntamper/internal/core"
+	"sdntamper/internal/exp"
 )
 
 // synfloodRef memoizes the serial-reference SYN-flood run: it is the
@@ -82,31 +83,6 @@ func TestDoSSaturationDetected(t *testing.T) {
 	}
 }
 
-// sameDoS compares the deterministic surface of two runs.
-func sameDoS(a, b *core.DoSResult) bool {
-	return a.DetectionLatency == b.DetectionLatency &&
-		a.Blocks == b.Blocks &&
-		a.AttackerBlocks == b.AttackerBlocks &&
-		a.VictimBlocks == b.VictimBlocks &&
-		a.FalseBlocks == b.FalseBlocks &&
-		a.Unblocks == b.Unblocks &&
-		a.Reblocked == b.Reblocked &&
-		a.LegitFlows == b.LegitFlows &&
-		a.LegitPackets == b.LegitPackets &&
-		a.LegitBytes == b.LegitBytes &&
-		a.AttackPackets == b.AttackPackets &&
-		a.Events == b.Events &&
-		a.MetricsProm == b.MetricsProm
-}
-
-// summary trims the bulky fields for failure messages.
-func summary(r *core.DoSResult) core.DoSResult {
-	c := *r
-	c.MetricsProm = ""
-	c.ShardEvents = nil
-	return c
-}
-
 // TestDoSShardInvariant pins the deterministic surface: the same seed
 // must produce byte-identical results across shard counts and
 // serial/parallel execution — detection timeline, block classification,
@@ -114,35 +90,29 @@ func summary(r *core.DoSResult) core.DoSResult {
 // {2 serial, 2 parallel} matrix; the backscatter-heavy SYN flood is
 // checked once at the most adversarial point (2 shards, parallel).
 func TestDoSShardInvariant(t *testing.T) {
-	ref, err := core.RunDoS(11, 4, 1, false, attack.LinkSaturation)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDoS(t, ref)
-	for _, tc := range []struct {
-		shards   int
-		parallel bool
-	}{{2, false}, {2, true}} {
-		got, err := core.RunDoS(11, 4, tc.shards, tc.parallel, attack.LinkSaturation)
+	sweep := func(variant attack.DoSVariant, seed int64, configs []exp.Config) {
+		t.Helper()
+		_, err := exp.Equivalent(configs, func(cfg exp.Config) (*core.DoSResult, exp.Fingerprint, error) {
+			run := func() (*core.DoSResult, error) { return core.RunDoS(seed, 4, cfg.Shards, cfg.Parallel, variant) }
+			if variant == attack.SYNFlood && cfg.Shards == 1 {
+				run = synfloodRef
+			}
+			res, err := run()
+			if err != nil {
+				return nil, exp.Fingerprint{}, err
+			}
+			if cfg.Shards == 1 {
+				checkDoS(t, res)
+			}
+			// Drop the configuration, the geometry and the wall clock.
+			inv := *res
+			inv.Shards, inv.Parallel, inv.ShardEvents, inv.Wall, inv.MetricsProm = 0, false, nil, 0, ""
+			return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+		})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameDoS(got, ref) {
-			t.Fatalf("saturation shards=%d parallel=%v diverged:\nref %+v\ngot %+v",
-				tc.shards, tc.parallel, summary(ref), summary(got))
+			t.Fatalf("%s: %v", variant, err)
 		}
 	}
-
-	synRef, err := synfloodRef()
-	if err != nil {
-		t.Fatal(err)
-	}
-	synGot, err := core.RunDoS(7, 4, 2, true, attack.SYNFlood)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameDoS(synGot, synRef) {
-		t.Fatalf("synflood 2 shards parallel diverged:\nref %+v\ngot %+v",
-			summary(synRef), summary(synGot))
-	}
+	sweep(attack.LinkSaturation, 11, []exp.Config{{Shards: 1}, {Shards: 2}, {Shards: 2, Parallel: true}})
+	sweep(attack.SYNFlood, 7, []exp.Config{{Shards: 1}, {Shards: 2, Parallel: true}})
 }

@@ -6,6 +6,7 @@ import (
 
 	"sdntamper/internal/attack"
 	"sdntamper/internal/dataplane"
+	"sdntamper/internal/exp"
 	"sdntamper/internal/stats"
 )
 
@@ -61,11 +62,34 @@ func (d *HijackDistributions) merge(o hijackOutcome) {
 // Figure 2 scenarios (TopoGuard and SPHINX both deployed, as in the
 // paper's runs) and collects the timing distributions. withToolOverhead
 // selects between the nmap-cost model (Table I's 133.5 ms ARP scan) and
-// the mechanism-only measurement. Runs execute serially on the calling
-// goroutine; RunHijackDistributionsParallel shards them across workers
-// with bit-for-bit identical output.
-func RunHijackDistributions(seed int64, runs int, withToolOverhead bool) (*HijackDistributions, error) {
-	return RunHijackDistributionsParallel(seed, runs, withToolOverhead, 1)
+// the mechanism-only measurement. Each run owns a private simulation
+// kernel, so runs spread across worker goroutines and merge in seed
+// order: the aggregates are identical for every worker count.
+// workers <= 0 uses one worker per CPU; workers == 1 runs inline on the
+// calling goroutine (the serial path).
+func RunHijackDistributions(seed int64, runs int, withToolOverhead bool, workers int) (*HijackDistributions, error) {
+	if runs <= 0 {
+		runs = 100
+	}
+	results, err := exp.Run(exp.Seeds(seed, runs, hijackSeedStride), workers,
+		func(s int64) (hijackOutcome, error) {
+			run, timeout, err := runOneHijack(s, withToolOverhead)
+			return hijackOutcome{run: run, timeout: timeout}, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := &HijackDistributions{}
+	for _, o := range results {
+		out.merge(o)
+	}
+	return out, nil
+}
+
+// hijackOutcome is one trial's contribution to the Figure 5-8 aggregates.
+type hijackOutcome struct {
+	run     *hijackRun
+	timeout time.Duration
 }
 
 type hijackRun struct {

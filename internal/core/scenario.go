@@ -84,6 +84,18 @@ func (s *Scenario) Controller() *controller.Controller { return s.Net.Controller
 // Run advances the scenario's virtual clock.
 func (s *Scenario) Run(d time.Duration) error { return s.Net.Run(d) }
 
+// Host returns the named host.
+func (s *Scenario) Host(name string) *dataplane.Host { return s.Net.Host(name) }
+
+// alerts counts the alerts the controller raised for any of the reasons.
+func (s *Scenario) alerts(reasons []string) int {
+	n := 0
+	for _, r := range reasons {
+		n += len(s.Controller().AlertsByReason(r))
+	}
+	return n
+}
+
 // Close stops background tickers.
 func (s *Scenario) Close() {
 	if s.Sphinx != nil {

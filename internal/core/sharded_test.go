@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"sdntamper/internal/exp"
 )
 
 // TestShardedByteIdentical is the equivalence gate for the sharded
@@ -12,93 +14,36 @@ import (
 // execution at 5 shards.
 func TestShardedByteIdentical(t *testing.T) {
 	const seed, k, rounds = 424242, 4, 2
+	configs := []exp.Config{{Shards: 1}, {Shards: 2}, {Shards: 5}, {Shards: 5, Parallel: true}}
 
-	type config struct {
-		name     string
-		shards   int
-		parallel bool
-	}
-	configs := []config{
-		{"serial-1shard", 1, false},
-		{"2shards", 2, false},
-		{"5shards", 5, false},
-		{"5shards-parallel", 5, true},
-	}
-
-	var ref *ShardedScaleResult
-	for _, cfg := range configs {
-		res, err := RunShardedScale(seed, k, cfg.shards, cfg.parallel, rounds)
+	results, err := exp.Equivalent(configs, func(cfg exp.Config) (*ShardedScaleResult, exp.Fingerprint, error) {
+		res, err := RunShardedScale(seed, k, cfg.Shards, cfg.Parallel, rounds)
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
+			return nil, exp.Fingerprint{}, err
 		}
 		if res.PingsAnswered != res.PingsSent {
-			t.Fatalf("%s: %d of %d pings answered", cfg.name, res.PingsAnswered, res.PingsSent)
+			t.Fatalf("%v: %d of %d pings answered", cfg, res.PingsAnswered, res.PingsSent)
 		}
-		if cfg.shards > 1 {
+		if cfg.Shards > 1 {
 			// The equivalence must be earned: pod↔core trunks and pod
 			// control channels really cross shards, and every shard
 			// executes a share of the events.
 			if res.CrossTrunks == 0 {
-				t.Fatalf("%s: no cross-shard trunks", cfg.name)
+				t.Fatalf("%v: no cross-shard trunks", cfg)
 			}
 			for i, n := range res.ShardEvents {
 				if n == 0 {
-					t.Fatalf("%s: shard %d executed no events", cfg.name, i)
+					t.Fatalf("%v: shard %d executed no events", cfg, i)
 				}
 			}
 		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		if res.Events != ref.Events {
-			t.Errorf("%s: executed %d events, reference %d", cfg.name, res.Events, ref.Events)
-		}
-		if res.DirectedLinks != ref.DirectedLinks {
-			t.Errorf("%s: %d directed links, reference %d", cfg.name, res.DirectedLinks, ref.DirectedLinks)
-		}
-		if res.LLIAlerts != ref.LLIAlerts {
-			t.Errorf("%s: %d LLI alerts, reference %d", cfg.name, res.LLIAlerts, ref.LLIAlerts)
-		}
-		if res.PingsAnswered != ref.PingsAnswered {
-			t.Errorf("%s: %d pings answered, reference %d", cfg.name, res.PingsAnswered, ref.PingsAnswered)
-		}
-		if res.MetricsProm != ref.MetricsProm {
-			t.Errorf("%s: merged metrics snapshot diverges from serial reference (%d vs %d bytes)",
-				cfg.name, len(res.MetricsProm), len(ref.MetricsProm))
-			diffFirstLine(t, ref.MetricsProm, res.MetricsProm)
-		}
+		inv := [4]any{res.Events, res.DirectedLinks, res.LLIAlerts, res.PingsAnswered}
+		return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ref != nil && ref.MetricsProm == "" {
+	if results[0].MetricsProm == "" {
 		t.Fatal("reference snapshot is empty")
 	}
-}
-
-// diffFirstLine reports the first diverging snapshot line, for debugging
-// without dumping two full exports.
-func diffFirstLine(t *testing.T, a, b string) {
-	t.Helper()
-	la, lb := splitLines(a), splitLines(b)
-	for i := 0; i < len(la) && i < len(lb); i++ {
-		if la[i] != lb[i] {
-			t.Logf("first divergence at line %d:\n  ref: %s\n  got: %s", i+1, la[i], lb[i])
-			return
-		}
-	}
-	t.Logf("snapshots diverge in length: %d vs %d lines", len(la), len(lb))
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sdntamper/internal/attack"
+	"sdntamper/internal/exp"
 	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/tgplus"
 )
@@ -19,60 +20,38 @@ import (
 func TestTraceByteIdentical(t *testing.T) {
 	const seed, k, rounds = 424242, 4, 2
 
-	type config struct {
-		name     string
-		shards   int
-		parallel bool
-	}
-	configs := []config{
-		{"serial-1shard", 1, false},
-		{"2shards", 2, false},
-		{"5shards", 5, false},
-		{"5shards-parallel", 5, true},
-	}
-
-	render := func(spans []trace.Span) string {
-		var sb strings.Builder
-		if err := trace.WriteJSONL(&sb, spans); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-
-	var ref string
-	var refSpans []trace.Span
-	for _, cfg := range configs {
-		res, err := RunShardedScaleTraced(seed, k, cfg.shards, cfg.parallel, rounds)
+	configs := []exp.Config{{Shards: 1}, {Shards: 2}, {Shards: 5}, {Shards: 5, Parallel: true}}
+	results, err := exp.Equivalent(configs, func(cfg exp.Config) (*ShardedScaleResult, exp.Fingerprint, error) {
+		res, err := RunShardedScaleTraced(seed, k, cfg.Shards, cfg.Parallel, rounds)
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
+			return nil, exp.Fingerprint{}, err
 		}
 		if res.SpansDropped != 0 {
-			t.Fatalf("%s: %d spans dropped from the ring — stream is no longer shard-count invariant", cfg.name, res.SpansDropped)
+			t.Fatalf("%v: %d spans dropped from the ring — stream is no longer shard-count invariant", cfg, res.SpansDropped)
 		}
 		if len(res.Spans) == 0 {
-			t.Fatalf("%s: traced run recorded no spans", cfg.name)
+			t.Fatalf("%v: traced run recorded no spans", cfg)
 		}
-		if cfg.shards > 1 {
+		if cfg.Shards > 1 {
 			// The invariance must be earned: every shard's own recorder
 			// captured part of the causal stream, so chains really cross
 			// the mailbox boundary before merging back byte-identical.
 			for i, n := range res.ShardSpans {
 				if n == 0 {
-					t.Fatalf("%s: shard %d recorded no spans", cfg.name, i)
+					t.Fatalf("%v: shard %d recorded no spans", cfg, i)
 				}
 			}
 		}
-		got := render(res.Spans)
-		if ref == "" {
-			ref, refSpans = got, res.Spans
-			continue
+		var sb strings.Builder
+		if err := trace.WriteJSONL(&sb, res.Spans); err != nil {
+			return nil, exp.Fingerprint{}, err
 		}
-		if got != ref {
-			t.Errorf("%s: span stream diverges from serial reference (%d vs %d bytes)",
-				cfg.name, len(got), len(ref))
-			diffFirstLine(t, ref, got)
-		}
+		return res, exp.Fingerprint{Metrics: sb.String()}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	refSpans := results[0].Spans
 
 	// The reference stream must contain reconstructable probe flights:
 	// root emission, control hop, wire hop, dataplane hop, packet-in,

@@ -29,7 +29,7 @@ func RunDowntimeWindows(seed int64, runs int, withToolOverhead bool, windows []t
 	if len(windows) == 0 {
 		windows = []time.Duration{500 * time.Millisecond, time.Second, 3 * time.Second, 10 * time.Second, time.Minute}
 	}
-	d, err := RunHijackDistributionsParallel(seed, runs, withToolOverhead, 0)
+	d, err := RunHijackDistributions(seed, runs, withToolOverhead, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -211,4 +213,99 @@ func TestRunDefaultWorkers(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Fatal("DefaultWorkers < 1")
 	}
+}
+
+var sweep = []Config{{Shards: 1}, {Shards: 2, Parallel: true}, {Shards: 5, Parallel: true}}
+
+// fingerprintBy runs a sweep whose fingerprint for each config comes from
+// fps, keyed by shard count.
+func fingerprintBy(fps map[int]Fingerprint) ([]int, error) {
+	return Equivalent(sweep, func(cfg Config) (int, Fingerprint, error) {
+		return cfg.Shards, fps[cfg.Shards], nil
+	})
+}
+
+func TestEquivalentReferenceIsFirstConfig(t *testing.T) {
+	same := Fingerprint{Invariants: map[string]int{"events": 7}, Metrics: "a 1\nb 2\n"}
+	got, err := fingerprintBy(map[int]Fingerprint{1: same, 2: same, 5: same})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[1 2 5]" {
+		t.Fatalf("results = %v, want config order", got)
+	}
+	// 2 and 5 agree with each other but not with the first config: the
+	// first disagreeing config is reported against the first config.
+	other := Fingerprint{Invariants: map[string]int{"events": 8}, Metrics: same.Metrics}
+	_, err = fingerprintBy(map[int]Fingerprint{1: same, 2: other, 5: other})
+	if err == nil {
+		t.Fatal("divergence from the first config passed")
+	}
+	want := "shards=2 parallel=true diverges from the shards=1 parallel=false reference at line 2:"
+	if !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("error = %q, want prefix %q", err, want)
+	}
+}
+
+func TestEquivalentNamesFirstDifferingLine(t *testing.T) {
+	ref := Fingerprint{Metrics: "a 1\nb 2\nc 3\n"}
+	_, err := fingerprintBy(map[int]Fingerprint{1: ref, 2: ref, 5: {Metrics: "a 1\nb 9\nc 4\n"}})
+	if err == nil {
+		t.Fatal("metrics divergence passed")
+	}
+	msg := err.Error()
+	// Line 1 is the (null) invariants; the snapshot follows.
+	for _, want := range []string{"shards=5 parallel=true", "line 3:", "ref: b 2", "got: b 9"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not mention %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, "c 4") {
+		t.Errorf("error %q reports past the first differing line", msg)
+	}
+	_, err = fingerprintBy(map[int]Fingerprint{1: ref, 2: {Metrics: ref.Metrics + "d 4\n"}, 5: ref})
+	if err == nil || !strings.Contains(err.Error(), "line 5:") || !strings.Contains(err.Error(), "got: d 4") {
+		t.Fatalf("extra snapshot line: error = %v", err)
+	}
+}
+
+func TestEquivalentWrapsRunError(t *testing.T) {
+	boom := errors.New("boom")
+	_, err := Equivalent(sweep, func(cfg Config) (int, Fingerprint, error) {
+		if cfg.Shards == 5 {
+			return 0, Fingerprint{}, boom
+		}
+		return 0, Fingerprint{}, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("error = %v, want it to wrap %v", err, boom)
+	}
+	if !strings.HasPrefix(err.Error(), "shards=5 parallel=true: ") {
+		t.Fatalf("error = %q, want it prefixed with its config", err)
+	}
+}
+
+func TestEquivalentRunsInOrderOnCallingGoroutine(t *testing.T) {
+	caller := goroutineID()
+	var order []Config
+	_, err := Equivalent(sweep, func(cfg Config) (int, Fingerprint, error) {
+		if id := goroutineID(); id != caller {
+			t.Errorf("%v ran on goroutine %s, caller is %s", cfg, id, caller)
+		}
+		order = append(order, cfg)
+		return 0, Fingerprint{}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(sweep) {
+		t.Fatalf("ran %v, want %v", order, sweep)
+	}
+}
+
+// goroutineID reads the current goroutine's id from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
 }
