@@ -344,6 +344,58 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkFlowTableLookup512 is BenchmarkFlowTableLookup at the size the
+// attack matrix grows switch tables to: 512 destination-MAC rules plus
+// in-port block rules, the two wildcard masks the controller and the rate
+// monitor install. CI enforces 0 allocs/op.
+func BenchmarkFlowTableLookup512(b *testing.B) {
+	var tbl dataplane.FlowTable
+	now := time.Unix(0, 0)
+	for i := 0; i < 512; i++ {
+		mac := packet.MAC{0, 0, 0, 0, byte(i >> 8), byte(i)}
+		tbl.Apply(&openflow.FlowMod{
+			Command:  openflow.FlowAdd,
+			Match:    openflow.Match{Wildcards: openflow.WildAll &^ openflow.WildEthDst, Fields: openflow.Fields{EthDst: mac}},
+			Priority: 10,
+			Actions:  []openflow.Action{openflow.Output(1)},
+		}, now)
+	}
+	for port := uint32(1); port <= 4; port++ {
+		tbl.Apply(&openflow.FlowMod{
+			Command:  openflow.FlowAdd,
+			Match:    openflow.Match{Wildcards: openflow.WildAll &^ openflow.WildInPort, Fields: openflow.Fields{InPort: port}},
+			Priority: 100,
+		}, now)
+	}
+	fields := openflow.Fields{InPort: 7, EthDst: packet.MAC{0, 0, 0, 0, 1, 0xff}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tbl.Lookup(fields) == nil {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkExtractFields classifies one UDP and one TCP frame per op, the
+// per-hop header parse of every switch. Each layer is validated in place,
+// checksums included, so it must run allocation-free (CI-enforced).
+func BenchmarkExtractFields(b *testing.B) {
+	a, d := packet.MustMAC("aa:aa:aa:aa:aa:aa"), packet.MustMAC("bb:bb:bb:bb:bb:bb")
+	ipA, ipD := packet.MustIPv4("10.0.0.1"), packet.MustIPv4("10.0.0.2")
+	u := &packet.UDP{SrcPort: 5000, DstPort: 9, Payload: make([]byte, 1000)}
+	ip := &packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: ipA, Dst: ipD, Payload: u.Marshal()}
+	udp := (&packet.Ethernet{Dst: d, Src: a, Type: packet.EtherTypeIPv4, Payload: ip.Marshal()}).Marshal()
+	tcp := packet.NewTCPSegment(a, d, ipA, ipD, 40000, 80, packet.TCPSyn, 1, 0, nil).Marshal()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if openflow.ExtractFields(1, udp).TPDst != 9 || openflow.ExtractFields(2, tcp).TPDst != 80 {
+			b.Fatal("frame not classified")
+		}
+	}
+}
+
 func BenchmarkSimKernelEventThroughput(b *testing.B) {
 	// b.N can exceed the kernel's default runaway guard on fast hosts.
 	k := sim.New(sim.WithEventLimit(^uint64(0)))

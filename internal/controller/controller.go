@@ -34,6 +34,7 @@ const (
 	flowIdleTimeoutSecs = 5
 	flowPriority        = 10
 	floodCacheWindow    = time.Second
+	floodCacheSweepMin  = 4096 // flood-cache size below which expired entries are kept
 	linkSweepInterval   = time.Second
 	lldpTTLSecs         = 120
 )
@@ -62,6 +63,7 @@ type Controller struct {
 	hosts       map[packet.MAC]*HostEntry
 	flowModLog  []openflow.FlowMod
 	floodCache  map[uint64]floodEntry
+	floodSweep  int // twice the flood-cache size the last expiry sweep left
 	pendingLLDP map[PortRef]pendingProbe
 
 	// tracer is the controller shard's span recorder (nil when tracing is

@@ -84,12 +84,16 @@ func (c *Controller) flood(ev *PacketInEvent) {
 	key := h.Sum64()
 	now := c.kernel.Now()
 	c.floodCache[key] = floodEntry{at: now, origin: ev.Loc()}
-	if len(c.floodCache) > 4096 {
+	// Expired entries are only memory (isRecentFlood checks the age), so
+	// the sweep runs once the cache doubles past what the last one kept:
+	// amortised O(1) per flood even when a flood keeps every entry live.
+	if len(c.floodCache) > max(floodCacheSweepMin, c.floodSweep) {
 		for k, entry := range c.floodCache {
 			if now.Sub(entry.at) >= floodCacheWindow {
 				delete(c.floodCache, k)
 			}
 		}
+		c.floodSweep = 2 * len(c.floodCache)
 	}
 
 	linkPorts := c.LinkPorts()

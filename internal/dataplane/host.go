@@ -254,8 +254,11 @@ func (h *Host) handleARP(eth *packet.Ethernet) {
 	}
 }
 
+// handleIPv4 and the L4 handlers below decode in place: the host owns
+// the delivered buffer (copy-at-ingress, see package link), and the
+// decoded headers never outlive the call. Only eth is handed onward.
 func (h *Host) handleIPv4(eth *packet.Ethernet) {
-	ip, err := packet.UnmarshalIPv4(eth.Payload)
+	ip, err := packet.DecodeIPv4(eth.Payload)
 	if err != nil {
 		return
 	}
@@ -264,9 +267,9 @@ func (h *Host) handleIPv4(eth *packet.Ethernet) {
 	}
 	switch ip.Protocol {
 	case packet.ProtoICMP:
-		h.handleICMP(eth, ip)
+		h.handleICMP(eth, &ip)
 	case packet.ProtoTCP:
-		h.handleTCP(eth, ip)
+		h.handleTCP(eth, &ip)
 	default:
 		if h.OnDeliver != nil {
 			h.OnDeliver(eth)
@@ -275,7 +278,7 @@ func (h *Host) handleIPv4(eth *packet.Ethernet) {
 }
 
 func (h *Host) handleICMP(eth *packet.Ethernet, ip *packet.IPv4) {
-	m, err := packet.UnmarshalICMP(ip.Payload)
+	m, err := packet.DecodeICMP(ip.Payload)
 	if err != nil {
 		return
 	}
@@ -298,7 +301,7 @@ func (h *Host) handleICMP(eth *packet.Ethernet, ip *packet.IPv4) {
 }
 
 func (h *Host) handleTCP(eth *packet.Ethernet, ip *packet.IPv4) {
-	seg, err := packet.UnmarshalTCP(ip.Payload)
+	seg, err := packet.DecodeTCP(ip.Payload)
 	if err != nil {
 		return
 	}

@@ -5,10 +5,12 @@
 package dataplane
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"sdntamper/internal/openflow"
+	"sdntamper/internal/packet"
 )
 
 // FlowEntry is one installed flow rule with its counters.
@@ -23,6 +25,7 @@ type FlowEntry struct {
 	bytes    uint64
 	created  time.Time
 	lastUsed time.Time
+	seq      uint64 // install sequence; a replacement inherits its predecessor's
 }
 
 // Packets reports how many packets matched the entry.
@@ -31,11 +34,89 @@ func (e *FlowEntry) Packets() uint64 { return e.packets }
 // Bytes reports how many bytes matched the entry.
 func (e *FlowEntry) Bytes() uint64 { return e.bytes }
 
+// matchOrder orders entries the way Lookup prefers them: higher priority
+// first, then earlier install sequence. Sequences are unique, so this is
+// a strict total order.
+func matchOrder(a, b *FlowEntry) int {
+	if a.Priority != b.Priority {
+		return cmp.Compare(b.Priority, a.Priority)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // FlowTable is a priority-ordered flow rule table. Higher priority wins;
 // among equal priorities, the earlier-installed rule wins, matching
 // OpenFlow's undefined-order caveat resolved the way software switches do.
+//
+// Lookup goes through a tuple-space index: one hash map per distinct
+// wildcard mask, keyed by the match fields with the wildcarded fields
+// cleared, each bucket kept in match order. The best bucket head across
+// the masks is exactly the first entry a linear scan of entries would
+// match. The index is maintained incrementally by every mutation.
 type FlowTable struct {
-	entries []*FlowEntry
+	entries []*FlowEntry // sorted by matchOrder
+	tuples  []tuple
+	nextSeq uint64
+}
+
+// tuple indexes the entries that share one wildcard mask.
+type tuple struct {
+	mask    openflow.Wildcards // Wildcards & WildAll
+	keyMask flowKey            // key bits of the fields the mask leaves concrete
+	buckets map[flowKey][]*FlowEntry
+}
+
+// flowKey is a Fields tuple packed into four words, so masking a key is
+// four ANDs and a bucket key hashes as one 32-byte block.
+type flowKey [4]uint64
+
+func packFields(f *openflow.Fields) flowKey {
+	mac := func(m packet.MAC) uint64 {
+		return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 | uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+	}
+	ip := func(a packet.IPv4Addr) uint64 {
+		return uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3])
+	}
+	return flowKey{
+		uint64(f.InPort)<<32 | uint64(f.EthType)<<16 | uint64(f.TPSrc),
+		mac(f.EthSrc)<<16 | uint64(f.TPDst),
+		mac(f.EthDst)<<8 | uint64(f.IPProto),
+		ip(f.IPSrc)<<32 | ip(f.IPDst),
+	}
+}
+
+func (k flowKey) and(m flowKey) flowKey {
+	return flowKey{k[0] & m[0], k[1] & m[1], k[2] & m[2], k[3] & m[3]}
+}
+
+// fieldOnes sets one match field to all ones per wildcard bit.
+var fieldOnes = [...]struct {
+	wild openflow.Wildcards
+	ones openflow.Fields
+}{
+	{openflow.WildInPort, openflow.Fields{InPort: ^uint32(0)}},
+	{openflow.WildEthSrc, openflow.Fields{EthSrc: packet.BroadcastMAC}},
+	{openflow.WildEthDst, openflow.Fields{EthDst: packet.BroadcastMAC}},
+	{openflow.WildEthType, openflow.Fields{EthType: ^uint16(0)}},
+	{openflow.WildIPSrc, openflow.Fields{IPSrc: packet.IPv4Addr{255, 255, 255, 255}}},
+	{openflow.WildIPDst, openflow.Fields{IPDst: packet.IPv4Addr{255, 255, 255, 255}}},
+	{openflow.WildIPProto, openflow.Fields{IPProto: ^uint8(0)}},
+	{openflow.WildTPSrc, openflow.Fields{TPSrc: ^uint16(0)}},
+	{openflow.WildTPDst, openflow.Fields{TPDst: ^uint16(0)}},
+}
+
+// maskKey returns the key bits of the fields w leaves concrete.
+func maskKey(w openflow.Wildcards) flowKey {
+	var m flowKey
+	for _, f := range fieldOnes {
+		if !w.Has(f.wild) {
+			k := packFields(&f.ones)
+			for i := range m {
+				m[i] |= k[i]
+			}
+		}
+	}
+	return m
 }
 
 // Len reports the number of installed entries.
@@ -51,12 +132,65 @@ func (t *FlowTable) Entries() []*FlowEntry {
 
 // Lookup returns the highest-priority entry matching the tuple, or nil.
 func (t *FlowTable) Lookup(f openflow.Fields) *FlowEntry {
-	for _, e := range t.entries {
-		if e.Match.Matches(f) {
-			return e
+	if len(t.tuples) == 0 {
+		return nil
+	}
+	var best *FlowEntry
+	k := packFields(&f)
+	for i := range t.tuples {
+		tp := &t.tuples[i]
+		if b := tp.buckets[k.and(tp.keyMask)]; len(b) > 0 && (best == nil || matchOrder(b[0], best) < 0) {
+			best = b[0]
 		}
 	}
-	return nil
+	return best
+}
+
+// bucket locates the index bucket of match m: its tuple (created when
+// create is set, otherwise nil if there is none) and its masked key.
+// Wildcard bits above WildAll are ignored, as Match.Matches ignores them.
+func (t *FlowTable) bucket(m *openflow.Match, create bool) (*tuple, flowKey) {
+	mask := m.Wildcards & openflow.WildAll
+	var tp *tuple
+	for i := range t.tuples {
+		if t.tuples[i].mask == mask {
+			tp = &t.tuples[i]
+			break
+		}
+	}
+	if tp == nil {
+		if !create {
+			return nil, flowKey{}
+		}
+		t.tuples = append(t.tuples, tuple{mask: mask, keyMask: maskKey(mask), buckets: make(map[flowKey][]*FlowEntry)})
+		tp = &t.tuples[len(t.tuples)-1]
+	}
+	return tp, packFields(&m.Fields).and(tp.keyMask)
+}
+
+// index adds e to the tuple-space index.
+func (t *FlowTable) index(e *FlowEntry) {
+	tp, key := t.bucket(&e.Match, true)
+	b := tp.buckets[key]
+	i, _ := slices.BinarySearchFunc(b, e, matchOrder)
+	tp.buckets[key] = slices.Insert(b, i, e)
+}
+
+// unindex removes e from the tuple-space index, dropping a bucket or a
+// tuple once it is empty.
+func (t *FlowTable) unindex(e *FlowEntry) {
+	tp, key := t.bucket(&e.Match, false)
+	b := tp.buckets[key]
+	i, _ := slices.BinarySearchFunc(b, e, matchOrder)
+	if b = slices.Delete(b, i, i+1); len(b) > 0 {
+		tp.buckets[key] = b
+		return
+	}
+	delete(tp.buckets, key)
+	if len(tp.buckets) == 0 {
+		mask := tp.mask
+		t.tuples = slices.DeleteFunc(t.tuples, func(x tuple) bool { return x.mask == mask })
+	}
 }
 
 // Apply executes a FlowMod against the table at virtual time now.
@@ -72,17 +206,25 @@ func (t *FlowTable) Apply(m *openflow.FlowMod, now time.Time) {
 			created:     now,
 			lastUsed:    now,
 		}
-		// Replace an identical (match, priority) entry, as OFPFF_ADD does.
-		for i, old := range t.entries {
-			if old.Priority == e.Priority && old.Match == e.Match {
-				t.entries[i] = e
-				return
+		// Replace an identical (match, priority) entry in place, as
+		// OFPFF_ADD does; the replacement keeps the old one's position.
+		if tp, key := t.bucket(&m.Match, false); tp != nil {
+			b := tp.buckets[key]
+			for i, old := range b {
+				if old.Priority == e.Priority && old.Match == e.Match {
+					e.seq = old.seq
+					b[i] = e
+					j, _ := slices.BinarySearchFunc(t.entries, old, matchOrder)
+					t.entries[j] = e
+					return
+				}
 			}
 		}
-		t.entries = append(t.entries, e)
-		sort.SliceStable(t.entries, func(i, j int) bool {
-			return t.entries[i].Priority > t.entries[j].Priority
-		})
+		e.seq = t.nextSeq
+		t.nextSeq++
+		i, _ := slices.BinarySearchFunc(t.entries, e, matchOrder)
+		t.entries = slices.Insert(t.entries, i, e)
+		t.index(e)
 	case openflow.FlowModify:
 		for _, e := range t.entries {
 			if e.Match == m.Match && e.Priority == m.Priority {
@@ -94,6 +236,8 @@ func (t *FlowTable) Apply(m *openflow.FlowMod, now time.Time) {
 		for _, e := range t.entries {
 			if !matchSubsumes(m.Match, e.Match) {
 				kept = append(kept, e)
+			} else {
+				t.unindex(e)
 			}
 		}
 		t.entries = kept
@@ -148,6 +292,7 @@ func (t *FlowTable) Expire(now time.Time) []*FlowEntry {
 		hardDead := e.HardTimeout > 0 && now.Sub(e.created) >= e.HardTimeout
 		if idleDead || hardDead {
 			expired = append(expired, e)
+			t.unindex(e)
 		} else {
 			kept = append(kept, e)
 		}

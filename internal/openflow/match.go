@@ -48,10 +48,12 @@ type Fields struct {
 
 // ExtractFields parses a raw Ethernet frame received on inPort into the
 // OpenFlow match tuple. Parse failures of inner layers yield a partially
-// populated tuple rather than an error, as a hardware switch would.
+// populated tuple rather than an error, as a hardware switch would. Every
+// layer is validated in place (packet.Decode*), so a well-formed frame is
+// classified without allocating or copying its payload.
 func ExtractFields(inPort uint32, data []byte) Fields {
 	f := Fields{InPort: inPort}
-	eth, err := packet.UnmarshalEthernet(data)
+	eth, err := packet.DecodeEthernet(data)
 	if err != nil {
 		return f
 	}
@@ -61,7 +63,7 @@ func ExtractFields(inPort uint32, data []byte) Fields {
 	if eth.Type != packet.EtherTypeIPv4 {
 		return f
 	}
-	ip, err := packet.UnmarshalIPv4(eth.Payload)
+	ip, err := packet.DecodeIPv4(eth.Payload)
 	if err != nil {
 		return f
 	}
@@ -70,17 +72,17 @@ func ExtractFields(inPort uint32, data []byte) Fields {
 	f.IPProto = ip.Protocol
 	switch ip.Protocol {
 	case packet.ProtoTCP:
-		if t, err := packet.UnmarshalTCP(ip.Payload); err == nil {
+		if t, err := packet.DecodeTCP(ip.Payload); err == nil {
 			f.TPSrc = t.SrcPort
 			f.TPDst = t.DstPort
 		}
 	case packet.ProtoUDP:
-		if u, err := packet.UnmarshalUDP(ip.Payload); err == nil {
+		if u, err := packet.DecodeUDP(ip.Payload); err == nil {
 			f.TPSrc = u.SrcPort
 			f.TPDst = u.DstPort
 		}
 	case packet.ProtoICMP:
-		if m, err := packet.UnmarshalICMP(ip.Payload); err == nil {
+		if m, err := packet.DecodeICMP(ip.Payload); err == nil {
 			f.TPSrc = uint16(m.Type)
 			f.TPDst = uint16(m.Code)
 		}

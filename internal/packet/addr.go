@@ -3,6 +3,11 @@
 // binary encoder and decoder. Attacks in this repository relay and spoof
 // the actual encoded bytes, mirroring the packet-level nature of the
 // paper's attacks.
+//
+// Decoders come in two forms. Decode* validates a layer in place and
+// returns the header by value with a Payload aliasing the input, for
+// per-hop classification that must not allocate; Unmarshal* is Decode*
+// plus a payload copy, for callers that retain what they decode.
 package packet
 
 import (

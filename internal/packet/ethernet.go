@@ -67,18 +67,35 @@ func AppendEthernetHeader(buf []byte, dst, src MAC, typ EtherType) []byte {
 	return binary.BigEndian.AppendUint16(buf, uint16(typ))
 }
 
+// DecodeEthernet decodes an Ethernet II header in place. The returned
+// Payload aliases b.
+func DecodeEthernet(b []byte) (Ethernet, error) {
+	if len(b) < ethernetHeaderLen {
+		return Ethernet{}, fmt.Errorf("%w: ethernet header needs %d bytes, have %d", ErrTruncated, ethernetHeaderLen, len(b))
+	}
+	e := Ethernet{Type: EtherType(binary.BigEndian.Uint16(b[12:14])), Payload: b[ethernetHeaderLen:]}
+	copy(e.Dst[:], b[0:6])
+	copy(e.Src[:], b[6:12])
+	return e, nil
+}
+
 // UnmarshalEthernet decodes wire bytes into a frame. The payload slice is
 // copied so callers may retain it independently of the input buffer.
 func UnmarshalEthernet(b []byte) (*Ethernet, error) {
-	if len(b) < ethernetHeaderLen {
-		return nil, fmt.Errorf("%w: ethernet header needs %d bytes, have %d", ErrTruncated, ethernetHeaderLen, len(b))
+	e, err := DecodeEthernet(b)
+	if err != nil {
+		return nil, err
 	}
-	e := &Ethernet{Type: EtherType(binary.BigEndian.Uint16(b[12:14]))}
-	copy(e.Dst[:], b[0:6])
-	copy(e.Src[:], b[6:12])
-	e.Payload = make([]byte, len(b)-ethernetHeaderLen)
-	copy(e.Payload, b[ethernetHeaderLen:])
-	return e, nil
+	e.Payload = clonePayload(e.Payload)
+	return &e, nil
+}
+
+// clonePayload returns an exact-length copy of p, the step that turns a
+// Decode* result into an Unmarshal* result the caller owns.
+func clonePayload(p []byte) []byte {
+	out := make([]byte, len(p))
+	copy(out, p)
+	return out
 }
 
 // String renders a compact human-readable form for traces.

@@ -40,23 +40,33 @@ func (m *ICMP) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalICMP decodes wire bytes, verifying the checksum.
-func UnmarshalICMP(b []byte) (*ICMP, error) {
+// DecodeICMP validates an ICMP message in place, including its checksum.
+// The returned Payload aliases b.
+func DecodeICMP(b []byte) (ICMP, error) {
 	if len(b) < icmpHeaderLen {
-		return nil, fmt.Errorf("%w: icmp needs %d bytes, have %d", ErrTruncated, icmpHeaderLen, len(b))
+		return ICMP{}, fmt.Errorf("%w: icmp needs %d bytes, have %d", ErrTruncated, icmpHeaderLen, len(b))
 	}
 	if internetChecksum(b) != 0 {
-		return nil, fmt.Errorf("packet: icmp checksum mismatch")
+		return ICMP{}, fmt.Errorf("packet: icmp checksum mismatch")
 	}
-	m := &ICMP{
-		Type: b[0],
-		Code: b[1],
-		ID:   binary.BigEndian.Uint16(b[4:6]),
-		Seq:  binary.BigEndian.Uint16(b[6:8]),
+	return ICMP{
+		Type:    b[0],
+		Code:    b[1],
+		ID:      binary.BigEndian.Uint16(b[4:6]),
+		Seq:     binary.BigEndian.Uint16(b[6:8]),
+		Payload: b[icmpHeaderLen:],
+	}, nil
+}
+
+// UnmarshalICMP decodes wire bytes, verifying the checksum. The payload
+// is copied.
+func UnmarshalICMP(b []byte) (*ICMP, error) {
+	m, err := DecodeICMP(b)
+	if err != nil {
+		return nil, err
 	}
-	m.Payload = make([]byte, len(b)-icmpHeaderLen)
-	copy(m.Payload, b[icmpHeaderLen:])
-	return m, nil
+	m.Payload = clonePayload(m.Payload)
+	return &m, nil
 }
 
 // NewICMPEcho builds a full Ethernet/IPv4/ICMP echo frame. Set reply to

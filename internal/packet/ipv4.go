@@ -3,6 +3,7 @@ package packet
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // IP protocol numbers used by the simulation.
@@ -24,19 +25,35 @@ type IPv4 struct {
 	Payload  []byte
 }
 
-// internetChecksum computes the RFC 1071 one's-complement sum.
+// internetChecksum computes the RFC 1071 one's-complement sum. It adds
+// the buffer eight bytes at a time as big-endian 64-bit words with
+// end-around carry, then folds to 16 bits: 2^16-1 divides 2^64-1, so the
+// folded sum equals the 16-bit-word sum, and a non-zero buffer never
+// folds to the all-zero representation of zero. The main loop takes four
+// words per iteration to amortise the loop and bounds checks.
 func internetChecksum(b []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(b); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var sum, carry uint64
+	for len(b) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:]), carry)
+		b = b[32:]
 	}
-	if len(b)%2 == 1 {
-		sum += uint32(b[len(b)-1]) << 8
+	for len(b) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b), carry)
+		b = b[8:]
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+	var tail uint64 // trailing bytes, zero-padded on the right
+	for i, c := range b {
+		tail |= uint64(c) << (56 - 8*i)
 	}
-	return ^uint16(sum)
+	sum, carry = bits.Add64(sum, tail, carry)
+	s := sum>>32 + sum&0xffffffff + carry
+	for s>>16 != 0 {
+		s = s&0xffff + s>>16
+	}
+	return ^uint16(s)
 }
 
 // Marshal encodes the packet, computing the header checksum.
@@ -75,33 +92,45 @@ func FinishIPv4(buf []byte, ipStart int) {
 	binary.BigEndian.PutUint16(pkt[10:12], internetChecksum(pkt[:ipv4HeaderLen]))
 }
 
-// UnmarshalIPv4 decodes wire bytes, verifying version and checksum.
-func UnmarshalIPv4(b []byte) (*IPv4, error) {
+// DecodeIPv4 validates an IPv4 packet in place: version, IHL, header
+// checksum and total length. The returned Payload aliases b (trailing
+// link-layer padding beyond the total length excluded).
+func DecodeIPv4(b []byte) (IPv4, error) {
 	if len(b) < ipv4HeaderLen {
-		return nil, fmt.Errorf("%w: ipv4 header needs %d bytes, have %d", ErrTruncated, ipv4HeaderLen, len(b))
+		return IPv4{}, fmt.Errorf("%w: ipv4 header needs %d bytes, have %d", ErrTruncated, ipv4HeaderLen, len(b))
 	}
 	if b[0]>>4 != 4 {
-		return nil, fmt.Errorf("packet: not ipv4 (version %d)", b[0]>>4)
+		return IPv4{}, fmt.Errorf("packet: not ipv4 (version %d)", b[0]>>4)
 	}
 	ihl := int(b[0]&0x0f) * 4
 	if ihl < ipv4HeaderLen || len(b) < ihl {
-		return nil, fmt.Errorf("%w: ipv4 IHL %d", ErrTruncated, ihl)
+		return IPv4{}, fmt.Errorf("%w: ipv4 IHL %d", ErrTruncated, ihl)
 	}
 	if internetChecksum(b[:ihl]) != 0 {
-		return nil, fmt.Errorf("packet: ipv4 header checksum mismatch")
+		return IPv4{}, fmt.Errorf("packet: ipv4 header checksum mismatch")
 	}
 	total := int(binary.BigEndian.Uint16(b[2:4]))
 	if total < ihl || total > len(b) {
-		return nil, fmt.Errorf("%w: ipv4 total length %d", ErrTruncated, total)
+		return IPv4{}, fmt.Errorf("%w: ipv4 total length %d", ErrTruncated, total)
 	}
-	p := &IPv4{
+	p := IPv4{
 		TTL:      b[8],
 		Protocol: b[9],
 		ID:       binary.BigEndian.Uint16(b[4:6]),
+		Payload:  b[ihl:total],
 	}
 	copy(p.Src[:], b[12:16])
 	copy(p.Dst[:], b[16:20])
-	p.Payload = make([]byte, total-ihl)
-	copy(p.Payload, b[ihl:total])
 	return p, nil
+}
+
+// UnmarshalIPv4 decodes wire bytes, verifying version and checksum. The
+// payload is copied so callers may retain it independently of b.
+func UnmarshalIPv4(b []byte) (*IPv4, error) {
+	p, err := DecodeIPv4(b)
+	if err != nil {
+		return nil, err
+	}
+	p.Payload = clonePayload(p.Payload)
+	return &p, nil
 }

@@ -81,29 +81,39 @@ func (t *TCP) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalTCP decodes wire bytes, verifying the checksum.
-func UnmarshalTCP(b []byte) (*TCP, error) {
+// DecodeTCP validates a TCP segment in place: data offset and checksum.
+// The returned Payload aliases b.
+func DecodeTCP(b []byte) (TCP, error) {
 	if len(b) < tcpHeaderLen {
-		return nil, fmt.Errorf("%w: tcp needs %d bytes, have %d", ErrTruncated, tcpHeaderLen, len(b))
+		return TCP{}, fmt.Errorf("%w: tcp needs %d bytes, have %d", ErrTruncated, tcpHeaderLen, len(b))
 	}
 	offset := int(b[12]>>4) * 4
 	if offset < tcpHeaderLen || offset > len(b) {
-		return nil, fmt.Errorf("%w: tcp data offset %d", ErrTruncated, offset)
+		return TCP{}, fmt.Errorf("%w: tcp data offset %d", ErrTruncated, offset)
 	}
 	if internetChecksum(b) != 0 {
-		return nil, fmt.Errorf("packet: tcp checksum mismatch")
+		return TCP{}, fmt.Errorf("packet: tcp checksum mismatch")
 	}
-	t := &TCP{
+	return TCP{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
 		Seq:     binary.BigEndian.Uint32(b[4:8]),
 		Ack:     binary.BigEndian.Uint32(b[8:12]),
 		Flags:   TCPFlags(b[13]),
 		Window:  binary.BigEndian.Uint16(b[14:16]),
+		Payload: b[offset:],
+	}, nil
+}
+
+// UnmarshalTCP decodes wire bytes, verifying the checksum. The payload is
+// copied.
+func UnmarshalTCP(b []byte) (*TCP, error) {
+	t, err := DecodeTCP(b)
+	if err != nil {
+		return nil, err
 	}
-	t.Payload = make([]byte, len(b)-offset)
-	copy(t.Payload, b[offset:])
-	return t, nil
+	t.Payload = clonePayload(t.Payload)
+	return &t, nil
 }
 
 // NewTCPSegment builds a full Ethernet/IPv4/TCP frame.
@@ -143,23 +153,33 @@ func (u *UDP) AppendTo(buf []byte) []byte {
 	return buf
 }
 
-// UnmarshalUDP decodes wire bytes, verifying length and checksum.
-func UnmarshalUDP(b []byte) (*UDP, error) {
+// DecodeUDP validates a UDP datagram in place: length and checksum. The
+// returned Payload aliases b (bytes beyond the UDP length excluded).
+func DecodeUDP(b []byte) (UDP, error) {
 	if len(b) < udpHeaderLen {
-		return nil, fmt.Errorf("%w: udp needs %d bytes, have %d", ErrTruncated, udpHeaderLen, len(b))
+		return UDP{}, fmt.Errorf("%w: udp needs %d bytes, have %d", ErrTruncated, udpHeaderLen, len(b))
 	}
 	length := int(binary.BigEndian.Uint16(b[4:6]))
 	if length < udpHeaderLen || length > len(b) {
-		return nil, fmt.Errorf("%w: udp length %d", ErrTruncated, length)
+		return UDP{}, fmt.Errorf("%w: udp length %d", ErrTruncated, length)
 	}
 	if internetChecksum(b[:length]) != 0 {
-		return nil, fmt.Errorf("packet: udp checksum mismatch")
+		return UDP{}, fmt.Errorf("packet: udp checksum mismatch")
 	}
-	u := &UDP{
+	return UDP{
 		SrcPort: binary.BigEndian.Uint16(b[0:2]),
 		DstPort: binary.BigEndian.Uint16(b[2:4]),
+		Payload: b[udpHeaderLen:length],
+	}, nil
+}
+
+// UnmarshalUDP decodes wire bytes, verifying length and checksum. The
+// payload is copied.
+func UnmarshalUDP(b []byte) (*UDP, error) {
+	u, err := DecodeUDP(b)
+	if err != nil {
+		return nil, err
 	}
-	u.Payload = make([]byte, length-udpHeaderLen)
-	copy(u.Payload, b[udpHeaderLen:length])
-	return u, nil
+	u.Payload = clonePayload(u.Payload)
+	return &u, nil
 }
