@@ -122,15 +122,15 @@ func (f *InBandFabrication) hook(self, peer *inbandAgent) func(*packet.Ethernet,
 		case eth.Type == packet.EtherTypeLLDP:
 			// Captured probe: tunnel it to the peer, at most once per
 			// relay interval. Sending host traffic requires a non-SWITCH
-			// profile.
+			// profile. raw is an immutable wire frame, so the relay can
+			// hold it until then without a copy.
 			if !self.lastRelay.IsZero() && f.kernel.Now().Sub(self.lastRelay) < f.relayInterval {
 				return true // swallow, but skip this round
 			}
 			self.lastRelay = f.kernel.Now()
-			captured := append([]byte(nil), raw...)
 			self.enqueue(func(done func()) {
 				self.ensure(func(p portProfile) bool { return p != profileSwitch }, func() {
-					self.host.SendUDP(peer.host.MAC(), peer.host.IP(), EncapPort, EncapPort, captured)
+					self.host.SendUDP(peer.host.MAC(), peer.host.IP(), EncapPort, EncapPort, raw)
 					self.profile = profileHost
 					done()
 				})

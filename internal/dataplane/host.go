@@ -83,7 +83,7 @@ type Host struct {
 	// txBuf is the transmit scratch buffer: locally originated frames are
 	// built into it layer by layer (Ethernet header, IPv4 header, L4
 	// payload, IPv4 backpatch) with no intermediate per-layer buffers.
-	// Safe because link.Link.Send copies at ingress.
+	// Safe because SendRaw clones the frame before it goes on the wire.
 	txBuf []byte
 
 	ipid        uint16
@@ -188,13 +188,21 @@ func (h *Host) sendIPv4(ip *packet.IPv4, appendPayload func([]byte) []byte) {
 }
 
 // SendRaw transmits raw frame bytes if the interface is up. Attacks use
-// it to re-inject captured LLDP bytes unmodified.
+// it to re-inject captured LLDP bytes unmodified. SendRaw makes the
+// frame's one wire copy: links take ownership of what they are sent and
+// switches forward it unchanged (see package link), so the caller may
+// reuse data as soon as SendRaw returns.
 func (h *Host) SendRaw(data []byte) {
 	if !h.up {
 		return
 	}
 	h.txFrames++
-	h.ep.Send(data)
+	if !h.ep.CarrierUp() || !h.ep.PeerCarrierUp() {
+		return // the link drops it at send; copy nothing
+	}
+	frame := make([]byte, len(data))
+	copy(frame, data)
+	h.ep.Send(frame)
 }
 
 // CarrierChange implements link.Attachment. Hosts ignore peer carrier.
@@ -206,11 +214,11 @@ func (h *Host) ReceiveFrame(data []byte) {
 		return
 	}
 	h.rxFrames++
-	eth, err := packet.UnmarshalEthernet(data)
+	eth, err := packet.DecodeEthernet(data)
 	if err != nil {
 		return
 	}
-	if h.OnFrame != nil && h.OnFrame(eth, data) {
+	if h.OnFrame != nil && h.OnFrame(&eth, data) {
 		return
 	}
 	if !h.Promiscuous && eth.Dst != h.mac && !eth.Dst.IsBroadcast() {
@@ -218,12 +226,12 @@ func (h *Host) ReceiveFrame(data []byte) {
 	}
 	switch eth.Type {
 	case packet.EtherTypeARP:
-		h.handleARP(eth)
+		h.handleARP(&eth)
 	case packet.EtherTypeIPv4:
-		h.handleIPv4(eth)
+		h.handleIPv4(&eth)
 	default:
 		if h.OnDeliver != nil {
-			h.OnDeliver(eth)
+			h.OnDeliver(&eth)
 		}
 	}
 }
@@ -254,9 +262,10 @@ func (h *Host) handleARP(eth *packet.Ethernet) {
 	}
 }
 
-// handleIPv4 and the L4 handlers below decode in place: the host owns
-// the delivered buffer (copy-at-ingress, see package link), and the
-// decoded headers never outlive the call. Only eth is handed onward.
+// handleIPv4 and the L4 handlers below decode in place: the delivered
+// buffer is an immutable wire frame (see package link) that nothing
+// writes, and the decoded headers never outlive the call. Only eth is
+// handed onward; its Payload aliases the wire frame.
 func (h *Host) handleIPv4(eth *packet.Ethernet) {
 	ip, err := packet.DecodeIPv4(eth.Payload)
 	if err != nil {

@@ -243,6 +243,37 @@ func TestOnFrameHookConsumes(t *testing.T) {
 	}
 }
 
+// TestHostSendRawCopiesScratch pins where the one wire copy of a frame
+// lives: links take ownership of what they are sent, so the host must
+// clone its reused transmit buffer. Frame B is built into the same
+// buffer as frame A while A is still in flight; the peer must receive
+// both intact.
+func TestHostSendRawCopiesScratch(t *testing.T) {
+	k, a, b := hostPair(t)
+	var got [][]byte
+	b.OnFrame = func(_ *packet.Ethernet, raw []byte) bool {
+		got = append(got, raw)
+		return true
+	}
+	a.SendUDP(b.MAC(), b.IP(), 1000, 2000, []byte("frame A"))
+	wantA := append([]byte(nil), a.txBuf...)
+	scratch := &a.txBuf[0]
+	a.SendUDP(b.MAC(), b.IP(), 1001, 2001, []byte("frame B, longer"))
+	wantB := append([]byte(nil), a.txBuf...)
+	if &a.txBuf[0] != scratch {
+		t.Fatal("frame B was not built into frame A's transmit buffer")
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("received %d frames, want 2", len(got))
+	}
+	if string(got[0]) != string(wantA) || string(got[1]) != string(wantB) {
+		t.Fatalf("frames corrupted by transmit-buffer reuse:\n got %x\n     %x\nwant %x\n     %x", got[0], got[1], wantA, wantB)
+	}
+}
+
 func TestOnDeliverSeesUnhandledTraffic(t *testing.T) {
 	k, a, b := hostPair(t)
 	var got *packet.Ethernet

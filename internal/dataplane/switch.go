@@ -149,6 +149,10 @@ func (p *Port) CarrierChange(up bool) {
 	}
 }
 
+// send forwards data out of the port without copying it. data is either
+// the immutable frame the ingress link delivered or the PacketOut body
+// openflow.Unmarshal copied out of the control message; a flood hands the
+// same bytes to every egress link (see package link).
 func (p *Port) send(data []byte) {
 	if !p.up {
 		p.mDropTx.Inc()

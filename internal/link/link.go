@@ -19,7 +19,10 @@ import (
 type Attachment interface {
 	// ReceiveFrame delivers a raw Ethernet frame that finished traversing
 	// the link. It is never called while the peer's carrier is down at
-	// send time.
+	// send time. data is an immutable wire frame: it may be shared with
+	// other receivers (a flooded frame reaches every egress link as the
+	// same bytes), so the receiver may retain or forward it but must
+	// never write into it.
 	ReceiveFrame(data []byte)
 	// CarrierChange signals that the peer's transceiver went up or down.
 	// The physical signal loss is instantaneous; any detection latency
@@ -43,13 +46,18 @@ func (e End) other() End {
 	return EndA
 }
 
-// Buffer ownership contract for Link.Send and Channel.Send: the link
-// copies data at send time, so the CALLER may reuse its buffer as soon as
-// Send returns (hot senders build frames in a per-component scratch
-// buffer). The RECEIVER owns the delivered copy outright and may retain
-// it indefinitely — attack taps and PacketIn bodies do — which is why
-// delivery buffers are freshly allocated per send and never pooled. Only
-// the in-flight delivery bookkeeping structs are recycled, through
+// Buffer ownership contract. Link.Send takes ownership of the frame it
+// is given and never copies it: dataplane frames are immutable once on
+// the wire. The one copy happens where a frame is built — the sending
+// host clones its scratch buffer (dataplane.Host.SendRaw) — and from then
+// on every switch that forwards the frame hands the same bytes onward,
+// to one egress or, when flooding, to several. Receivers may therefore
+// share a delivered slice with other receivers; they may retain it
+// indefinitely (attack taps and PacketIn bodies do) but must never write
+// into it. Channel.Send keeps copy-at-ingress: control-plane senders
+// marshal into reused scratch buffers, so the channel copies the message
+// when it is sent and the receiver owns the delivered copy outright.
+// Only the in-flight delivery bookkeeping structs are recycled, through
 // per-link free lists (links are single-kernel, so no locking).
 
 // frameDelivery is the in-flight state of one Link.Send, pooled on the
@@ -392,8 +400,9 @@ func (l *Link) SetLatency(s sim.Sampler) {
 // the peer after the link's sampled latency. Frames are dropped (as on a
 // real wire) if either transceiver is down at send time, if the
 // receiving side's transceiver is down at delivery time, or by injected
-// random loss. data is copied; the caller may reuse its buffer once Send
-// returns, and the peer owns the delivered copy.
+// random loss. Send takes ownership of data without copying it: the
+// caller must not write into the slice afterwards, and the peer receives
+// the same backing array (see the ownership contract above).
 func (l *Link) Send(from End, data []byte) {
 	if !l.upA || !l.upB {
 		return
@@ -403,14 +412,12 @@ func (l *Link) Send(from End, data []byte) {
 		l.noteDrop(from)
 		return
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	delay := l.latency.Sample(r)
 	spanID, parent, startNs := l.frameSpan(from)
 	if s := l.split; s != nil {
 		src, dst := s.route(from)
 		s.group.Post(src, dst, delay, deliverFrameSplit,
-			&frameDelivery{l: l, from: from, buf: buf, spanID: spanID, parent: parent, startNs: startNs})
+			&frameDelivery{l: l, from: from, buf: data, spanID: spanID, parent: parent, startNs: startNs})
 		return
 	}
 	var d *frameDelivery
@@ -420,7 +427,7 @@ func (l *Link) Send(from End, data []byte) {
 	} else {
 		d = &frameDelivery{}
 	}
-	d.l, d.from, d.buf = l, from, buf
+	d.l, d.from, d.buf = l, from, data
 	d.spanID, d.parent, d.startNs = spanID, parent, startNs
 	l.kernel.ScheduleArg(delay, deliverFrame, d)
 }
@@ -465,7 +472,8 @@ func NewEndpoint(l *Link, end End, att Attachment) *Endpoint {
 	return &Endpoint{link: l, end: end}
 }
 
-// Send transmits a frame toward the peer.
+// Send transmits a frame toward the peer, taking ownership of data as
+// Link.Send does.
 func (e *Endpoint) Send(data []byte) { e.link.Send(e.end, data) }
 
 // SetCarrier raises or lowers this side's transceiver.

@@ -63,16 +63,22 @@ func TestLinkBidirectional(t *testing.T) {
 	}
 }
 
-func TestLinkFrameIsCopied(t *testing.T) {
+// TestLinkSendTakesOwnership pins the wire-frame contract: the link hands
+// the peer the very slice it was sent, with no per-hop copy. The one copy
+// a frame gets is made by the host that builds it (see
+// dataplane.TestHostSendRawCopiesScratch).
+func TestLinkSendTakesOwnership(t *testing.T) {
 	k, ea, _, _, rb := newPair(t, sim.Const(0))
-	buf := []byte{9}
+	buf := []byte{9, 8, 7}
 	ea.Send(buf)
-	buf[0] = 0 // mutate after send
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rb.frames[0][0] != 9 {
-		t.Fatal("link aliased sender buffer")
+	if len(rb.frames) != 1 {
+		t.Fatalf("frames = %d, want 1", len(rb.frames))
+	}
+	if got := rb.frames[0]; len(got) != len(buf) || &got[0] != &buf[0] {
+		t.Fatal("link copied the frame instead of delivering the sent backing array")
 	}
 }
 

@@ -426,6 +426,9 @@ func decodePacketOut(b []byte) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The body is copied out of the control message because a switch
+	// forwards PacketOut data onto its dataplane links as is, and links
+	// take ownership of what they are sent without copying.
 	p.Data = make([]byte, len(rest))
 	copy(p.Data, rest)
 	return p, nil

@@ -51,7 +51,8 @@ func (e *Ethernet) Marshal() []byte {
 // AppendTo appends the frame's wire encoding to buf and returns the
 // extended slice. Hot send paths call it with the zero-length prefix of a
 // reused scratch buffer; see the buffer-ownership contract in package
-// link (senders may reuse buffers after Send returns).
+// link (the sending host copies the finished frame once, before it goes
+// on the wire).
 func (e *Ethernet) AppendTo(buf []byte) []byte {
 	buf = append(buf, e.Dst[:]...)
 	buf = append(buf, e.Src[:]...)

@@ -121,7 +121,7 @@ func (l *Log) TapHost(h *dataplane.Host, name string) {
 // Summarize renders a one-line, tcpdump-flavored description of a raw
 // Ethernet frame, descending as far as the layers parse.
 func Summarize(raw []byte) string {
-	eth, err := packet.UnmarshalEthernet(raw)
+	eth, err := packet.DecodeEthernet(raw)
 	if err != nil {
 		return fmt.Sprintf("malformed frame (%d bytes)", len(raw))
 	}

@@ -76,7 +76,7 @@ type Generator struct {
 	prof    Profile
 	rng     *rand.Rand
 
-	payload []byte // pooled: the link layer copies at ingress
+	payload []byte // pooled: the host copies it into the frame it sends
 	srcPort uint16
 
 	started bool
