@@ -542,6 +542,38 @@ func BenchmarkScheduleTraced(b *testing.B) {
 	}
 }
 
+// BenchmarkShardGroupSparse measures a sparse sharded schedule: per op,
+// one event on shard 0 posts a delivery 1 ms across a 500 µs-lookahead
+// cross-shard link, then the group runs one virtual second serially.
+// Windows open at the next pending event, so the op costs a handful of
+// windows rather than one per lookahead of the second, and once the free
+// lists and the staging buffer are warm it must run allocation-free.
+func BenchmarkShardGroupSparse(b *testing.B) {
+	k0 := sim.New(sim.WithEventLimit(^uint64(0)))
+	k1 := sim.New(sim.WithEventLimit(^uint64(0)))
+	g := sim.NewShardGroup(k0, k1)
+	g.RegisterCrossLatency(500 * time.Microsecond)
+	delivered := 0
+	deliver := func(any) { delivered++ }
+	send := func() { g.Post(0, 1, time.Millisecond, deliver, nil) }
+	op := func() {
+		k0.Schedule(0, send)
+		if err := g.RunFor(time.Second); err != nil {
+			b.Fatal(err)
+		}
+	}
+	op() // warm both kernels' free lists and the staging buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if delivered != b.N+1 {
+		b.Fatalf("shard 1 received %d of %d deliveries", delivered, b.N+1)
+	}
+}
+
 // BenchmarkTrafficBurst measures the traffic engine's per-packet
 // overhead: flow admission, batched pump events and frame construction
 // into the host's reused transmit buffer. The wire's carrier is down, so

@@ -76,7 +76,7 @@ func run(args []string) error {
 	shards := fs.Int("shards", 0, "scale experiment: shard kernels (0 = legacy single-kernel path at k=4,8)")
 	scaleK := fs.String("scalek", "4,8,16", "scale experiment: comma-separated fat-tree arities (sharded path only)")
 	scaleRounds := fs.Int("scalerounds", 3, "scale experiment: steady-state ping rounds (sharded path only)")
-	scaleParallel := fs.Bool("scaleparallel", true, "scale experiment: run shard epochs on parallel goroutines")
+	scaleParallel := fs.Bool("scaleparallel", true, "scale experiment: run shard windows on parallel goroutines")
 	dosK := fs.Int("dosk", 4, "dos experiment: fat-tree arity")
 	dosFloor := fs.Float64("dosfloor", 0, "dos experiment: fail if any run executes fewer kernel events/s (0 = no floor)")
 	dosOut := fs.String("dosout", "", "dos experiment: write the JSON report to this file")

@@ -70,7 +70,7 @@ type ShardedScaleResult struct {
 	Hosts         int
 	Trunks        int
 	CrossTrunks   int           // trunks paying the cross-shard mailbox path
-	Lookahead     time.Duration // conservative epoch stride
+	Lookahead     time.Duration // longest conservative window
 	DirectedLinks int
 	LLIAlerts     int // abnormal-delay false positives (IQR fence tail, grows with k)
 	PingsSent     int

@@ -64,7 +64,7 @@ func (e End) other() End {
 // owning link so steady-state forwarding does not allocate it per frame.
 // The span fields carry the traversal's trace identity from the sending
 // shard to the receiving one — the pooled struct IS the cross-shard
-// span handoff, so a traced chain survives the epoch mailbox with its
+// span handoff, so a traced chain survives the cross-shard mailbox with its
 // parent intact.
 type frameDelivery struct {
 	l       *Link
@@ -283,7 +283,7 @@ func (l *Link) rng(from End) *rand.Rand {
 
 // Split marks the link as crossing shards: end A lives on shardA of the
 // group and end B on shardB (with kernelB as B's kernel). Frames are
-// handed across via the group's epoch mailbox instead of the local
+// handed across via the group's cross-shard mailbox instead of the local
 // kernel, and the link's guaranteed minimum latency is registered as
 // group lookahead. Requires per-direction RNG streams (SetRands) so
 // draws stay off the shard kernels, and a latency sampler with a
@@ -382,7 +382,7 @@ func (l *Link) Latency() sim.Sampler { return l.latency }
 // sim.Scaled) for the duration of a latency spike and restores it after.
 // On a split link the replacement must keep a lower bound at least the
 // one registered as group lookahead, and the swap must happen between
-// runs (the field is read concurrently during epochs).
+// runs (the field is read concurrently during windows).
 func (l *Link) SetLatency(s sim.Sampler) {
 	if s == nil {
 		s = sim.Const(0)
@@ -437,7 +437,7 @@ func (l *Link) Send(from End, data []byte) {
 // immediately; modeling of detection latency is the peer's concern.
 func (l *Link) SetCarrier(end End, up bool) {
 	if l.split != nil {
-		// Carrier flaps mutate state both shard goroutines read mid-epoch;
+		// Carrier flaps mutate state both shard goroutines read mid-window;
 		// topology-tampering scenarios must keep their flapping links
 		// inside one shard.
 		panic("link: SetCarrier on a split link")

@@ -37,14 +37,14 @@ const (
 // the shard its partition map assigns (missing entries default to 0);
 // hosts follow their access switch. Links whose endpoints land on
 // different shards are split (link.Link.Split): their frames cross at
-// the group's epoch boundaries, and their minimum latency bounds the
+// the group's window boundaries, and their minimum latency bounds the
 // group lookahead.
 //
 // Determinism: every link and control channel gets per-direction RNG
 // streams seeded from the trial seed and the entity's identity, each
 // shard keeps a private metrics registry, and MergedMetrics folds the
 // registries in shard-ID order. Snapshot output is byte-identical across
-// shard counts and between serial and parallel epoch execution.
+// shard counts and between serial and parallel window execution.
 type ShardedNetwork struct {
 	Group      *sim.ShardGroup
 	Controller *controller.Controller
@@ -123,7 +123,7 @@ func (n *ShardedNetwork) ShardOf(dpid uint64) int {
 	return 0
 }
 
-// SetParallel selects parallel (one goroutine per shard) or serial epoch
+// SetParallel selects parallel (one goroutine per shard) or serial window
 // execution; the simulation is identical either way.
 func (n *ShardedNetwork) SetParallel(p bool) { n.Group.SetParallel(p) }
 
@@ -255,7 +255,7 @@ func (n *ShardedNetwork) AddTrunk(dpidA uint64, portA uint32, dpidB uint64, port
 	// BFD path anchor for sOFTDP, exactly as in the serial Network. The
 	// fault callback runs inside SetCarrier/SetLossRate; on split trunks
 	// SetCarrier already panics and SetLossRate is legal only between
-	// runs, so the shard-0 controller is never entered mid-epoch from
+	// runs, so the shard-0 controller is never entered mid-window from
 	// another shard's goroutine.
 	if !n.noAttach && n.Controller.Profile().Discovery == controller.DiscoverySOFTDP {
 		a := controller.PortRef{DPID: dpidA, Port: portA}
@@ -284,11 +284,11 @@ func (n *ShardedNetwork) Trunks() []*link.Link {
 }
 
 // CrossShardTrunks counts trunks whose endpoints live on different
-// shards — the traffic that pays the epoch-mailbox path.
+// shards — the traffic that pays the cross-shard mailbox path.
 func (n *ShardedNetwork) CrossShardTrunks() int { return n.crossTrunks }
 
 // Run advances the whole simulation by d, exchanging cross-shard traffic
-// at lookahead boundaries.
+// at window boundaries.
 func (n *ShardedNetwork) Run(d time.Duration) error { return n.Group.RunFor(d) }
 
 // ShardExecuted reports the events executed by one shard (load-balance
@@ -357,9 +357,12 @@ func (n *ShardedNetwork) MergedSpans() []trace.Span {
 	return trace.Merge(n.tracers...)
 }
 
-// HealthMetrics renders the per-shard execution-geometry gauges (event
-// queue depth and peak, epoch barrier stall, cross-shard mailbox peak,
-// per-shard executed events) into a fresh registry in shard-ID order.
+// HealthMetrics renders the per-shard execution-geometry gauges into a
+// fresh registry in shard-ID order: event queue depth and peak, sampled
+// at window ends (windows open only where some shard has work, so there
+// are as many samples as windows, not one per lookahead of virtual
+// time); barrier stall, summed over parallel windows only (serial runs
+// report zero); cross-shard mailbox peak; and per-shard executed events.
 // These gauges describe HOW the run was partitioned — they vary with
 // shard count and the stall is wall-clock — so they live in this
 // separate health registry, never in the deterministic MergedMetrics

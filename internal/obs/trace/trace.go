@@ -8,7 +8,7 @@
 // emitting entity's identity and a per-entity sequence number. Because
 // every input to a span is shard-count invariant, the merged span
 // stream of a sharded run is byte-identical across 1, 2 or N shards and
-// between serial and parallel epoch execution — the same contract the
+// between serial and parallel window execution — the same contract the
 // metrics registry already honors (see TestTraceByteIdentical).
 //
 // The package deliberately imports only the standard library so both
@@ -99,7 +99,7 @@ const DefaultCapacity = 1 << 16
 // Recorder is one shard's span ring plus the shard's current span
 // context (the causal parent inherited by whatever work is executing).
 // Like the kernel it belongs to, a Recorder is single-goroutine: each
-// shard's worker owns its recorder during an epoch, and merges happen
+// shard's worker owns its recorder during a window, and merges happen
 // between runs. A nil *Recorder is a valid, permanently-disabled
 // recorder: every method is nil-receiver safe, so instrumentation
 // sites need no separate enabled flag.

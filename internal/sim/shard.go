@@ -7,23 +7,25 @@ import (
 )
 
 // ShardGroup coordinates several Kernels as one logical simulation,
-// synchronized conservatively: virtual time advances in epochs no longer
-// than the group lookahead — the minimum guaranteed latency of any
-// cross-shard link — and cross-shard deliveries staged with Post are
-// exchanged at the epoch boundaries. A message sent during epoch
-// [T, T+L) on a link with minimum latency ≥ L is due no earlier than
-// T+L, so flushing staged messages when every shard has reached T+L can
-// never deliver into a shard's past; each shard's interior is therefore
+// synchronized conservatively. Virtual time advances in windows that
+// open at the earliest pending event across the shards and span at most
+// the group lookahead — the minimum guaranteed latency of any
+// cross-shard link. Cross-shard deliveries staged with Post are
+// exchanged when a window closes. No shard holds an event before the
+// window's start T, so a message sent inside [T, T+L] on a link with
+// minimum latency ≥ L is due no earlier than T+L, the window's end:
+// flushing staged messages once every shard has reached the end can
+// never deliver into a shard's past. Each shard's interior is therefore
 // free to run without further coordination, serially or on its own
-// goroutine.
+// goroutine, and idle virtual time between events costs no windows.
 //
 // Determinism: staged messages are flushed in (source shard ID, send
 // order) order, so the schedule a destination kernel observes is a pure
 // function of the simulation state, not of goroutine interleaving.
-// Parallel and serial epoch execution are bit-for-bit identical.
+// Parallel and serial window execution are bit-for-bit identical.
 type ShardGroup struct {
 	kernels  []*Kernel
-	lookNs   int64 // conservative epoch stride; 0 until a link registers
+	lookNs   int64 // longest conservative window; 0 until a link registers
 	pending  [][]crossMsg
 	parallel bool
 	firstErr error
@@ -34,7 +36,7 @@ type ShardGroup struct {
 // destination kernel at absolute virtual offset dueNs. span is the
 // trace context captured on the source shard at Post time, stamped
 // onto the destination event at flush so a causal chain crosses the
-// epoch boundary with its parent intact.
+// window boundary with its parent intact.
 type crossMsg struct {
 	dst   int
 	dueNs int64
@@ -44,21 +46,23 @@ type crossMsg struct {
 }
 
 // ShardHealth is one shard's execution-geometry gauges: how deep its
-// event queue ran, how long it waited at epoch barriers, and how many
+// event queue ran, how long it waited at window barriers, and how many
 // cross-shard messages it staged. All three describe HOW the work was
 // partitioned, not WHAT was simulated — queue depth and mailbox
-// backlog vary with shard count and the stall is wall-clock — so they
-// are exported through a separate health registry, never the merged
-// deterministic snapshot.
+// backlog vary with shard count, the number of windows varies with the
+// schedule, and the stall is wall-clock — so they are exported through
+// a separate health registry, never the merged deterministic snapshot.
 type ShardHealth struct {
-	// QueueDepth is the shard's pending-event count at the last epoch
-	// boundary.
+	// QueueDepth is the shard's pending-event count at the end of the
+	// last window. Windows open only where some shard has work, so the
+	// gauge is sampled at those window ends, not at a fixed stride.
 	QueueDepth int
-	// QueuePeak is the highest boundary queue depth seen.
+	// QueuePeak is the highest window-end queue depth seen.
 	QueuePeak int
 	// EpochStallNs is the cumulative wall nanoseconds this shard's
-	// worker spent finished-and-waiting at the epoch barrier for the
-	// slowest shard (zero under serial execution, which has no barrier).
+	// worker spent finished-and-waiting at the window barrier for the
+	// slowest shard. Only parallel windows contribute: serial execution
+	// has no barrier and leaves it zero.
 	EpochStallNs int64
 	// MailboxPeak is the most cross-shard deliveries this shard ever
 	// had staged at one flush.
@@ -92,7 +96,7 @@ func (g *ShardGroup) Shards() int { return len(g.kernels) }
 // Kernel returns the kernel of shard i.
 func (g *ShardGroup) Kernel(i int) *Kernel { return g.kernels[i] }
 
-// SetParallel selects whether RunFor executes shard epochs on one worker
+// SetParallel selects whether RunFor executes shard windows on one worker
 // goroutine per shard (true) or in shard-ID order on the calling
 // goroutine (false, the default). The two modes produce identical
 // simulations; parallel only changes wall-clock behavior.
@@ -112,15 +116,16 @@ func (g *ShardGroup) RegisterCrossLatency(min time.Duration) {
 	}
 }
 
-// Lookahead reports the group's epoch stride (zero until a cross-shard
-// link registers).
+// Lookahead reports the group's longest window (zero until a
+// cross-shard link registers).
 func (g *ShardGroup) Lookahead() time.Duration { return time.Duration(g.lookNs) }
 
 // Post stages fn(arg) for the kernel of shard dst at virtual delay d from
 // shard src's current instant. It must be called from within src's event
-// execution (each source shard owns its staging buffer, so concurrent
-// epochs never contend). The delivery is scheduled on dst at the next
-// epoch boundary, preserving the exact virtual due time.
+// execution, or from outside RunFor between runs (each source shard owns
+// its staging buffer, so concurrent windows never contend). The delivery
+// is scheduled on dst at the next window boundary, preserving the exact
+// virtual due time.
 func (g *ShardGroup) Post(src, dst int, d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
@@ -168,6 +173,10 @@ func (g *ShardGroup) flush() {
 		}
 		g.pending[src] = buf[:0]
 	}
+}
+
+// sampleQueues records every shard's pending-event count at a window end.
+func (g *ShardGroup) sampleQueues() {
 	for i, k := range g.kernels {
 		d := k.Pending()
 		g.health[i].QueueDepth = d
@@ -177,17 +186,23 @@ func (g *ShardGroup) flush() {
 	}
 }
 
-// RunFor advances every shard by virtual duration d, exchanging staged
-// cross-shard messages at each lookahead boundary. With no registered
-// cross latency the shards are assumed independent and run the span in
-// one epoch. The first kernel error (event limit) or lookahead violation
-// is returned after all shards stop at a common clock.
+// RunFor advances every shard by virtual duration d in conservative
+// windows. Each window opens at the earliest pending event across the
+// shards (never before the previous window's end) and spans at most the
+// group lookahead, so stretches of virtual time in which no shard has
+// work cost nothing. Staged cross-shard messages, including any posted
+// between RunFor calls, are flushed before the first window opens and
+// after every window closes. With no registered cross latency the shards
+// are assumed independent and run the span in one window. Unless a
+// kernel trips its event limit, every shard's clock ends exactly d after
+// where it started. The first kernel error (event limit) or lookahead
+// violation is returned after all shards stop.
 func (g *ShardGroup) RunFor(d time.Duration) error {
 	if d < 0 {
 		d = 0
 	}
-	start := g.kernels[0].nowNs
-	end := start + int64(d)
+	now := g.kernels[0].nowNs
+	end := now + int64(d)
 	stride := g.lookNs
 	if stride <= 0 {
 		stride = int64(d)
@@ -197,13 +212,25 @@ func (g *ShardGroup) RunFor(d time.Duration) error {
 		workers = startShardWorkers(g.kernels)
 		defer workers.stop()
 	}
-	for now := start; now < end || now == start; {
-		deadline := now + stride
-		if deadline > end || stride == 0 {
-			deadline = end
+	g.flush()
+	for {
+		// No shard holds an event before next, so a message posted in
+		// [next, next+stride] is due no earlier than the window's end.
+		next := end
+		for _, k := range g.kernels {
+			if at, ok := k.nextNs(); ok && at < next {
+				next = at
+			}
+		}
+		if next > now {
+			now = next
+		}
+		deadline := end
+		if now+stride < end {
+			deadline = now + stride
 		}
 		if workers != nil {
-			workers.runEpoch(deadline)
+			workers.runWindow(deadline)
 			var latest time.Time
 			for _, f := range workers.finish {
 				if f.After(latest) {
@@ -226,7 +253,8 @@ func (g *ShardGroup) RunFor(d time.Duration) error {
 			}
 		}
 		g.flush()
-		if now == deadline { // d == 0: single degenerate epoch
+		g.sampleQueues()
+		if deadline == end {
 			break
 		}
 		now = deadline
@@ -253,7 +281,7 @@ func (g *ShardGroup) Executed() uint64 {
 func (g *ShardGroup) ShardExecuted(i int) uint64 { return g.kernels[i].executed }
 
 // shardWorkers runs one persistent goroutine per shard for the duration
-// of a RunFor call, so the ~10⁵ epochs of a long run do not each pay a
+// of a RunFor call, so the windows of a long run do not each pay a
 // goroutine spawn.
 type shardWorkers struct {
 	kernels  []*Kernel
@@ -286,9 +314,9 @@ func startShardWorkers(kernels []*Kernel) *shardWorkers {
 	return w
 }
 
-// runEpoch releases every worker to run until deadline and blocks until
-// all have reached it.
-func (w *shardWorkers) runEpoch(deadline int64) {
+// runWindow releases every worker to run one window until deadline and
+// blocks until all have reached it.
+func (w *shardWorkers) runWindow(deadline int64) {
 	w.deadline = deadline
 	w.wg.Add(len(w.kernels))
 	for _, c := range w.start {
