@@ -19,9 +19,9 @@ import (
 // class: the same Figure 9 line of four switches, but mastered by a
 // replicated control plane — switches 1-2 on replica 0, switches 3-4 on
 // replica 1 — with the full TopoGuard+ stack deployed independently on
-// every replica. The LLIs run with RequireControlEstimates, so the
-// post-handover blind window records unenforced passes instead of
-// spurious alerts.
+// every replica. An LLI records a measurement unenforced while either
+// switch lacks a control estimate, so the post-handover blind window
+// records unenforced passes instead of spurious alerts.
 type ClusterTestbed struct {
 	Net     *netsim.Network
 	Cluster *cluster.Cluster
@@ -85,9 +85,7 @@ func NewClusterTestbed(seed int64, replicas int, trunkLatency sim.Sampler) (*Clu
 			)
 		}
 		r := cl.AddReplica(ctl)
-		lcfg := tgplus.DefaultLLIConfig()
-		lcfg.RequireControlEstimates = true
-		lli := tgplus.NewLLI(lcfg)
+		lli := tgplus.NewLLI(tgplus.DefaultLLIConfig())
 		ctl.Register(topoguard.New())
 		ctl.Register(tgplus.NewCMM(0))
 		ctl.Register(lli)

@@ -61,16 +61,10 @@ func fig9ClusterPartition(shards int) map[uint64]int {
 // NewClusterFig9Scenario assembles the clustered Figure 9 testbed.
 // replicate selects whether the replicas share the replicated log (the
 // deployment mode) or run with fully isolated views (the
-// partitioned-matrix control variant). The LLI runs with
-// RequireControlEstimates: a replica without fresh control baselines
-// for a link's endpoints records the measurement unenforced instead of
-// guessing.
+// partitioned-matrix control variant). A replica without fresh control
+// baselines for a link's endpoints records the LLI measurement
+// unenforced instead of guessing.
 func NewClusterFig9Scenario(seed int64, shards int, def Defenses, replicate bool) *ClusterScenario {
-	if def.LLI && def.LLIConfig == nil {
-		lcfg := tgplus.DefaultLLIConfig()
-		lcfg.RequireControlEstimates = true
-		def.LLIConfig = &lcfg
-	}
 	net := netsim.NewSharded(seed, shards, fig9ClusterPartition(shards), defenseOptions(def, nil)...)
 	net.SetAutoAttach(false)
 	for dpid := uint64(1); dpid <= 4; dpid++ {

@@ -29,6 +29,13 @@ func (e *controlEstimate) oneWay() (time.Duration, bool) {
 	return e.window.Series().Mean() / 2, true
 }
 
+// linkState is the LLI's memory of one passed link.
+type linkState struct {
+	// overFence records that the link's latest refresh was approved over
+	// the fence once already; the next consecutive one is vetoed.
+	overFence bool
+}
+
 // LLI is the Link Latency Inspector.
 type LLI struct {
 	api      controller.API
@@ -44,6 +51,9 @@ type LLI struct {
 	// links, not against its own attack-supplied measurements.
 	window  *stats.Window
 	samples []LatencySample
+	// links holds every link the LLI has passed, and whether its latest
+	// refresh was over the fence.
+	links map[controller.Link]linkState
 
 	probeEvent sim.Event
 	started    bool
@@ -74,6 +84,7 @@ func NewLLI(cfg LLIConfig) *LLI {
 		cfg:     cfg,
 		control: make(map[uint64]*controlEstimate),
 		window:  stats.NewWindow(cfg.WindowSize),
+		links:   make(map[controller.Link]linkState),
 	}
 }
 
@@ -162,37 +173,35 @@ func (l *LLI) ControlLatency(dpid uint64) (time.Duration, bool) {
 }
 
 // ApproveLink measures the link latency carried by this LLDP round trip
-// and flags it against the IQR threshold of the link's verified history.
+// and flags it against the IQR threshold of the verified history.
+//
+// Two rules keep the fence honest on a quiet fabric:
+//   - A round trip whose src or dst switch has no control estimate yet
+//     (before the first probe tick, or after a reconnect or mastership
+//     handover) still contains unknown control delay. It is recorded
+//     unenforced and kept out of the window.
+//   - A link the LLI has passed before is vetoed only on its second
+//     consecutive over-fence refresh. The first one is approved silently
+//     and kept out of the window, so a single benign micro-burst neither
+//     alerts nor costs the link a refresh. A link never passed before is
+//     still judged on its first probe.
 func (l *LLI) ApproveLink(ev *controller.LinkEvent) bool {
 	total := ev.ReceivedAt.Sub(ev.SentAt)
 	srcCtl, okSrc := l.control[ev.Link.Src.DPID].oneWay()
 	dstCtl, okDst := l.control[ev.Link.Dst.DPID].oneWay()
-	latency := total
-	if okSrc {
-		latency -= srcCtl
-	}
-	if okDst {
-		latency -= dstCtl
-	}
+	latency := total - srcCtl - dstCtl
 	if latency < 0 {
 		latency = 0
 	}
+	l.linkLat.Observe(latency)
+	sample := LatencySample{At: ev.ReceivedAt, Link: ev.Link, Latency: latency}
 
-	if l.cfg.RequireControlEstimates && (!okSrc || !okDst) {
-		// Post-handover blind window: a re-homed switch has no control
-		// estimate on its new master yet, so the inferred link latency
-		// still contains unknown control delay. Judging it would either
-		// raise a spurious alert or poison the verified window; record
-		// the measurement unenforced and wait for fresh control probes.
-		l.linkLat.Observe(latency)
-		l.samples = append(l.samples, LatencySample{At: ev.ReceivedAt, Link: ev.Link, Latency: latency})
-		l.verdicts.Pass()
+	if !okSrc || !okDst {
+		l.pass(sample, false)
 		return true
 	}
 
-	l.linkLat.Observe(latency)
 	w := l.window
-	sample := LatencySample{At: ev.ReceivedAt, Link: ev.Link, Latency: latency}
 	enforce := w.N() >= l.cfg.MinSamples
 	if tr := l.api.Metrics().Tracer(); tr != nil {
 		// One scoring span per measurement: the inferred link latency
@@ -216,6 +225,12 @@ func (l *LLI) ApproveLink(ev *controller.LinkEvent) bool {
 	if enforce {
 		sample.Threshold = w.IQRThreshold(l.cfg.IQRMultiplier)
 		if latency > sample.Threshold {
+			if st, passed := l.links[ev.Link]; passed && !st.overFence {
+				l.links[ev.Link] = linkState{overFence: true}
+				l.samples = append(l.samples, sample)
+				l.verdicts.Pass()
+				return true
+			}
 			sample.Flagged = true
 			l.samples = append(l.samples, sample)
 			if l.cfg.BlockAnomalies {
@@ -229,12 +244,20 @@ func (l *LLI) ApproveLink(ev *controller.LinkEvent) bool {
 			return !l.cfg.BlockAnomalies
 		}
 	}
-	// Only verified (unflagged) measurements enter the store, so a slow
-	// trickle of attack latencies cannot drag the threshold upward.
-	w.Add(latency)
+	l.pass(sample, true)
+	return true
+}
+
+// pass records an approved measurement and marks its link as passed.
+// Only verified measurements enter the window, so a slow trickle of
+// attack latencies cannot drag the threshold upward.
+func (l *LLI) pass(sample LatencySample, verified bool) {
+	if verified {
+		l.window.Add(sample.Latency)
+	}
+	l.links[sample.Link] = linkState{}
 	l.samples = append(l.samples, sample)
 	l.verdicts.Pass()
-	return true
 }
 
 // Samples returns every latency measurement recorded so far, in order.

@@ -177,15 +177,6 @@ type LLIConfig struct {
 	// BlockAnomalies drops flagged link updates from the topology (the
 	// paper's "may optionally block the topology update").
 	BlockAnomalies bool
-	// RequireControlEstimates suspends enforcement for any LLDP round trip
-	// whose src or dst switch lacks a control-latency estimate, recording
-	// the measurement unenforced instead of judging (or admitting into the
-	// verified window) a latency still contaminated by unknown control
-	// delay. Clustered deployments set this: after a mastership handover
-	// the new master has no estimates for re-homed switches, and without
-	// the gate every post-failover LLDP round would self-flag. The gap it
-	// opens is the measurable post-handover blind window.
-	RequireControlEstimates bool
 }
 
 // DefaultLLIConfig returns the paper's parameters.

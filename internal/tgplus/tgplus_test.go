@@ -152,47 +152,71 @@ func TestLLIControlEstimateAveragesLatestThree(t *testing.T) {
 	}
 }
 
+// controlRTT is every fake switch's control-link RTT: an LLDP round
+// trip carries half of it at each end.
+const controlRTT = 4 * time.Millisecond
+
+var (
+	historyLink = controller.Link{Src: portA, Dst: portB}
+	// relayLink is a link the LLI has never passed, as the OOB relay's
+	// fabricated link always is.
+	relayLink = controller.Link{Src: controller.PortRef{DPID: 3, Port: 1}, Dst: portB}
+)
+
+// startLLI binds a started LLI to a fake API whose switches 1-3 answer
+// control probes in controlRTT, and runs the kernel past the first
+// probe so every switch has a control estimate.
+func startLLI(t *testing.T, cfg tgplus.LLIConfig) (*controllertest.FakeAPI, *tgplus.LLI) {
+	t.Helper()
+	api := controllertest.New()
+	lli := tgplus.NewLLI(cfg)
+	lli.Bind(api)
+	api.SwitchIDs = []uint64{1, 2, 3}
+	for _, dpid := range api.SwitchIDs {
+		api.ControlRTTs[dpid] = controlRTT
+	}
+	lli.Start()
+	t.Cleanup(lli.Stop)
+	if err := api.Kernel.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return api, lli
+}
+
+// probeLLI hands the LLI one round trip on link whose inferred link
+// latency, after control-delay subtraction, is latency.
+func probeLLI(api *controllertest.FakeAPI, lli *tgplus.LLI, link controller.Link, latency time.Duration) bool {
+	return lli.ApproveLink(&controller.LinkEvent{
+		Link:       link,
+		SentAt:     api.Now().Add(-latency - controlRTT),
+		ReceivedAt: api.Now(),
+	})
+}
+
+// feedLLI sends n round trips of the given latency on historyLink, one
+// a second.
 func feedLLI(api *controllertest.FakeAPI, lli *tgplus.LLI, latency time.Duration, n int) {
 	for i := 0; i < n; i++ {
 		api.Kernel.RunFor(time.Second)
-		ev := &controller.LinkEvent{
-			Link:       controller.Link{Src: portA, Dst: portB},
-			SentAt:     api.Now().Add(-latency),
-			ReceivedAt: api.Now(),
-		}
-		lli.ApproveLink(ev)
+		probeLLI(api, lli, historyLink, latency)
 	}
 }
 
 func TestLLIEnforcesAfterMinSamples(t *testing.T) {
-	api := controllertest.New()
 	cfg := tgplus.DefaultLLIConfig()
 	cfg.MinSamples = 10
-	lli := tgplus.NewLLI(cfg)
-	lli.Bind(api)
+	api, lli := startLLI(t, cfg)
 	feedLLI(api, lli, 5*time.Millisecond, 9)
 	// Ninth sample: still calibrating, even an outlier passes.
-	ev := &controller.LinkEvent{
-		Link:       controller.Link{Src: portA, Dst: portB},
-		SentAt:     api.Now().Add(-40 * time.Millisecond),
-		ReceivedAt: api.Now(),
-	}
-	if !lli.ApproveLink(ev) {
+	if !probeLLI(api, lli, relayLink, 40*time.Millisecond) {
 		t.Fatal("blocked during calibration")
 	}
 }
 
 func TestLLIFlagsOutlierAndBlocks(t *testing.T) {
-	api := controllertest.New()
-	lli := tgplus.NewLLI(tgplus.DefaultLLIConfig())
-	lli.Bind(api)
+	api, lli := startLLI(t, tgplus.DefaultLLIConfig())
 	feedLLI(api, lli, 5*time.Millisecond, 20)
-	ev := &controller.LinkEvent{
-		Link:       controller.Link{Src: portA, Dst: portB},
-		SentAt:     api.Now().Add(-22 * time.Millisecond), // the OOB relay path
-		ReceivedAt: api.Now(),
-	}
-	if lli.ApproveLink(ev) {
+	if probeLLI(api, lli, relayLink, 22*time.Millisecond) { // the OOB relay path
 		t.Fatal("22ms outlier approved against ~5ms history")
 	}
 	if api.AlertCount(tgplus.ReasonAbnormalDelay) != 1 {
@@ -204,25 +228,102 @@ func TestLLIFlagsOutlierAndBlocks(t *testing.T) {
 }
 
 func TestLLIFlaggedSamplesStayOutOfStore(t *testing.T) {
-	api := controllertest.New()
-	lli := tgplus.NewLLI(tgplus.DefaultLLIConfig())
-	lli.Bind(api)
+	api, lli := startLLI(t, tgplus.DefaultLLIConfig())
 	feedLLI(api, lli, 5*time.Millisecond, 20)
 	// A persistent attacker repeats the 22ms link every round; the
 	// threshold must not creep upward.
 	for i := 0; i < 30; i++ {
 		api.Kernel.RunFor(time.Second)
-		ev := &controller.LinkEvent{
-			Link:       controller.Link{Src: portA, Dst: portB},
-			SentAt:     api.Now().Add(-22 * time.Millisecond),
-			ReceivedAt: api.Now(),
-		}
-		if lli.ApproveLink(ev) {
+		if probeLLI(api, lli, relayLink, 22*time.Millisecond) {
 			t.Fatalf("attack latency accepted on round %d: threshold crept", i)
 		}
 	}
 	if got := api.AlertCount(tgplus.ReasonAbnormalDelay); got != 30 {
 		t.Fatalf("alerts = %d, want 30", got)
+	}
+}
+
+func TestLLIBootstrapSamplesStayOutOfWindow(t *testing.T) {
+	api := controllertest.New()
+	lli := tgplus.NewLLI(tgplus.DefaultLLIConfig())
+	lli.Bind(api)
+	// Before the first control probe, round trips carry unknown control
+	// delay: they are recorded unenforced, even far above any fence.
+	for i := 0; i < 20; i++ {
+		api.Kernel.RunFor(10 * time.Millisecond)
+		if !probeLLI(api, lli, historyLink, 30*time.Millisecond) {
+			t.Fatalf("bootstrap round trip %d judged", i)
+		}
+	}
+	for _, s := range lli.Samples() {
+		if s.Flagged || s.Threshold != 0 {
+			t.Fatalf("bootstrap sample judged: %+v", s)
+		}
+	}
+	api.SwitchIDs = []uint64{1, 2, 3}
+	for _, dpid := range api.SwitchIDs {
+		api.ControlRTTs[dpid] = controlRTT
+	}
+	lli.Start()
+	defer lli.Stop()
+	feedLLI(api, lli, 5*time.Millisecond, 10)
+	// Had the 30ms bootstrap samples entered the window, the fence would
+	// sit far above 22ms.
+	if probeLLI(api, lli, relayLink, 22*time.Millisecond) {
+		t.Fatal("bootstrap samples inflated the fence")
+	}
+}
+
+func TestLLIVerifiedLinkSurvivesOneOverFenceRefresh(t *testing.T) {
+	api, lli := startLLI(t, tgplus.DefaultLLIConfig())
+	feedLLI(api, lli, 5*time.Millisecond, 20)
+	// A benign micro-burst on a verified link: approved, no alert.
+	if !probeLLI(api, lli, historyLink, 12*time.Millisecond) {
+		t.Fatal("first over-fence refresh of a verified link vetoed")
+	}
+	if got := api.AlertCount(tgplus.ReasonAbnormalDelay); got != 0 {
+		t.Fatalf("alerts = %d after one burst, want 0", got)
+	}
+	last := lli.Samples()[len(lli.Samples())-1]
+	if last.Flagged || last.Threshold == 0 {
+		t.Fatalf("forgiven sample = %+v, want judged and unflagged", last)
+	}
+	// An on-fence refresh resets the count...
+	feedLLI(api, lli, 5*time.Millisecond, 1)
+	if !probeLLI(api, lli, historyLink, 12*time.Millisecond) {
+		t.Fatal("burst after a passing refresh vetoed")
+	}
+	// ...but a second consecutive over-fence refresh is vetoed and alerted.
+	if probeLLI(api, lli, historyLink, 12*time.Millisecond) {
+		t.Fatal("second consecutive over-fence refresh approved")
+	}
+	if got := api.AlertCount(tgplus.ReasonAbnormalDelay); got != 1 {
+		t.Fatalf("alerts = %d, want 1", got)
+	}
+	// The forgiven bursts stayed out of the window: the fence still
+	// blocks a new link at the burst latency.
+	if probeLLI(api, lli, relayLink, 12*time.Millisecond) {
+		t.Fatal("forgiven bursts dragged the fence upward")
+	}
+}
+
+func TestLLIUnenforcedLinkCountsAsPassed(t *testing.T) {
+	api, lli := startLLI(t, tgplus.DefaultLLIConfig())
+	feedLLI(api, lli, 5*time.Millisecond, 20)
+	// Switch 3 reconnects: its estimate is gone, so the relay link's
+	// next round trip is recorded unenforced.
+	lli.ObserveSwitchConnect(3)
+	if !probeLLI(api, lli, relayLink, 22*time.Millisecond) {
+		t.Fatal("round trip without a control estimate judged")
+	}
+	if err := api.Kernel.RunFor(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !probeLLI(api, lli, relayLink, 22*time.Millisecond) {
+		t.Fatal("first over-fence refresh of an unenforced link vetoed")
+	}
+	if probeLLI(api, lli, relayLink, 22*time.Millisecond) {
+		t.Fatal("second consecutive over-fence refresh approved")
 	}
 }
 
@@ -278,18 +379,11 @@ func TestLLINegativeLatencyClamped(t *testing.T) {
 }
 
 func TestLLINonBlockingMode(t *testing.T) {
-	api := controllertest.New()
 	cfg := tgplus.DefaultLLIConfig()
 	cfg.BlockAnomalies = false
-	lli := tgplus.NewLLI(cfg)
-	lli.Bind(api)
+	api, lli := startLLI(t, cfg)
 	feedLLI(api, lli, 5*time.Millisecond, 20)
-	ev := &controller.LinkEvent{
-		Link:       controller.Link{Src: portA, Dst: portB},
-		SentAt:     api.Now().Add(-22 * time.Millisecond),
-		ReceivedAt: api.Now(),
-	}
-	if !lli.ApproveLink(ev) {
+	if !probeLLI(api, lli, relayLink, 22*time.Millisecond) {
 		t.Fatal("non-blocking mode still blocked")
 	}
 	if api.AlertCount(tgplus.ReasonAbnormalDelay) != 1 {
