@@ -1,0 +1,100 @@
+package controller
+
+import (
+	"testing"
+	"time"
+
+	"sdntamper/internal/dataplane"
+	"sdntamper/internal/link"
+	"sdntamper/internal/sim"
+)
+
+// Allocation gates for the discovery path. OFDP costs one PacketOut per
+// port and one PacketIn per link direction per round, so at fat-tree
+// scale any per-message object is multiplied by thousands of probes a
+// round.
+
+// TestEvictOneLinkAllocatesOnce evicts one link from a k=16-sized link
+// table (4096 directed links) through each eviction path. The only
+// allocation left is the link-removed event's detail string; the
+// eviction must not size anything by the whole table.
+func TestEvictOneLinkAllocatesOnce(t *testing.T) {
+	k := sim.New()
+	c := New(k)
+	t.Cleanup(c.Shutdown)
+	now := k.Now()
+	var target Link
+	for dpid := uint64(1); dpid <= 256; dpid++ {
+		for port := uint32(1); port <= 16; port++ {
+			l := Link{Src: PortRef{DPID: dpid, Port: port}, Dst: PortRef{DPID: 1000 + dpid, Port: port}}
+			c.ImportLink(l, now)
+			if dpid == 128 && port == 8 {
+				target = l
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		evict func()
+	}{
+		{"RemoveLink", func() { c.RemoveLink(target) }},
+		{"sweep", func() { c.removeLinksMatching(func(l Link) bool { return l == target }, "timeout") }},
+	} {
+		tc.evict() // the first eviction sizes the controller's scratch
+		allocs := testing.AllocsPerRun(20, func() {
+			c.ImportLink(target, now)
+			tc.evict()
+		})
+		if c.HasLink(target) {
+			t.Fatalf("%s: link not evicted", tc.name)
+		}
+		if allocs > 1 {
+			t.Errorf("%s: evicting one of %d links allocates %v objects, want at most 1",
+				tc.name, len(c.links)+1, allocs)
+		}
+	}
+}
+
+// TestLLDPRoundTripAllocations drives one whole LLDP round trip — the
+// controller emits a probe, the PacketOut crosses the control channel,
+// the switch forwards it over a trunk, the far switch punts it back as a
+// PacketIn and the controller accepts the link — and pins its
+// allocations at the two control-channel copies, one per direction:
+// link.Channel.Send copies every message at ingress, and every decoder
+// downstream works in place on that copy.
+func TestLLDPRoundTripAllocations(t *testing.T) {
+	k := sim.New()
+	c := New(k)
+	t.Cleanup(c.Shutdown)
+	trunk := link.NewLink(k, sim.Const(time.Millisecond))
+	for i, dpid := range []uint64{1, 2} {
+		sw := dataplane.NewSwitch(k, dpid)
+		sw.AddPort(1, trunk, [2]link.End{link.EndA, link.EndB}[i], nil)
+		ch := link.NewChannel(k, sim.Const(time.Millisecond))
+		sw.SetControlSender(func(b []byte) { ch.Send(link.EndA, b) })
+		ch.OnReceive(link.EndA, sw.HandleControl)
+		conn := c.Connect(func(b []byte) { ch.Send(link.EndB, b) })
+		ch.OnReceive(link.EndB, conn.Handle)
+	}
+	if err := k.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	l := Link{Src: PortRef{DPID: 1, Port: 1}, Dst: PortRef{DPID: 2, Port: 1}}
+	if !c.HasLink(l) {
+		t.Fatal("trunk not discovered by the connect-time probes")
+	}
+	roundTrip := func() {
+		c.emitLLDP(1, 1)
+		if err := k.RunFor(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // warm the scratch buffers
+	allocs := testing.AllocsPerRun(50, roundTrip)
+	if seen := c.links[l]; k.Now().Sub(seen) > 100*time.Millisecond {
+		t.Fatalf("link last refreshed at %v, now %v: the probes did not return", seen, k.Now())
+	}
+	if allocs > 2 {
+		t.Errorf("one LLDP round trip allocates %v objects, want at most 2 (the two Channel.Send copies)", allocs)
+	}
+}

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -114,6 +115,27 @@ type Controller struct {
 	// portScratch backs sortedPortsInto so per-switch port iteration on
 	// the discovery and flood paths does not allocate per round.
 	portScratch []uint32
+	// doomed backs removeLinksMatching's selection of links to evict.
+	doomed []Link
+	// packetOut, outAction and floodActions are sendPacketOut's message
+	// scratch: a PacketOut is marshaled as soon as it is built.
+	packetOut    openflow.PacketOut
+	outAction    [1]openflow.Action
+	floodActions []openflow.Action
+	// packetIn, linkEv and lldpSendEv are the events handed to modules.
+	// Each lives for one call: modules must not keep the pointer, or
+	// anything it points to, once the call returns.
+	packetIn   packetInScratch
+	linkEv     LinkEvent
+	lldpSendEv LLDPSendEvent
+}
+
+// packetInScratch holds one Packet-In event and the decoded headers its
+// Eth and LLDP fields point at.
+type packetInScratch struct {
+	ev   PacketInEvent
+	eth  packet.Ethernet
+	lldp lldp.Frame
 }
 
 var _ API = (*Controller)(nil)
@@ -304,6 +326,8 @@ type Conn struct {
 	// txBuf is the connection's transmit scratch buffer; every outgoing
 	// message is marshaled into it in place (see sendMsg).
 	txBuf []byte
+	// dec decodes each message from the switch before the next arrives.
+	dec openflow.Decoder
 }
 
 // Connect opens a control connection whose upstream transmit function is
@@ -331,9 +355,11 @@ func (conn *Conn) sendMsg(m openflow.Message) uint32 {
 // DPID reports the switch's datapath id (0 until the handshake finishes).
 func (conn *Conn) DPID() uint64 { return conn.dpid }
 
-// Handle processes one OpenFlow message arriving from the switch.
+// Handle processes one OpenFlow message arriving from the switch. The
+// connection takes ownership of data and decodes it in place, so the
+// caller must never write data again.
 func (conn *Conn) Handle(data []byte) {
-	xid, m, err := openflow.Unmarshal(data)
+	xid, m, err := conn.dec.Decode(data)
 	if err != nil {
 		return
 	}
@@ -399,10 +425,12 @@ func (c *Controller) handlePortStatus(dpid uint64, msg *openflow.PortStatus) {
 // resolution, module interceptors, and then link discovery or the host
 // pipeline.
 func (c *Controller) handlePacketIn(conn *Conn, msg *openflow.PacketIn) {
-	eth, err := packet.UnmarshalEthernet(msg.Data)
+	sc := &c.packetIn
+	eth, err := packet.DecodeEthernet(msg.Data)
 	if err != nil {
 		return
 	}
+	sc.eth = eth
 	c.m.packetIn.Inc()
 	c.event(obs.KindPacket, "packet-in", PortRef{DPID: conn.dpid, Port: msg.InPort}, "")
 	if tr := c.tracer; tr != nil {
@@ -422,22 +450,24 @@ func (c *Controller) handlePacketIn(conn *Conn, msg *openflow.PacketIn) {
 	}
 	// Internal probe returns never reach modules or services.
 	if eth.Src == pathProbeMAC && eth.Type == pathProbeEtherType {
-		c.resolvePathProbe(eth)
+		c.resolvePathProbe(eth.Payload)
 		return
 	}
-	ev := &PacketInEvent{
+	sc.ev = PacketInEvent{
 		DPID:   conn.dpid,
 		InPort: msg.InPort,
 		Reason: msg.Reason,
 		Data:   msg.Data,
-		Eth:    eth,
+		Eth:    &sc.eth,
 		Fields: openflow.ExtractFields(msg.InPort, msg.Data),
 		When:   c.kernel.Now(),
 	}
+	ev := &sc.ev
 	if eth.Type == packet.EtherTypeLLDP {
-		if f, err := lldp.Unmarshal(eth.Payload); err == nil {
+		if f, err := lldp.Decode(eth.Payload); err == nil {
+			sc.lldp = f
 			ev.IsLLDP = true
-			ev.LLDP = f
+			ev.LLDP = &sc.lldp
 			c.m.packetInLLDP.Inc()
 		}
 	}
@@ -534,28 +564,26 @@ func (c *Controller) HasLink(l Link) bool {
 	return ok
 }
 
-// LinkPorts implements API.
+// LinkPorts implements API. The map is cached until the link set
+// changes, and shared: callers must not modify it.
 func (c *Controller) LinkPorts() map[PortRef]bool {
-	out := make(map[PortRef]bool, 2*len(c.links))
-	for l := range c.links {
-		out[l.Src] = true
-		out[l.Dst] = true
+	t := &c.topo
+	if !t.portsValid {
+		t.ports = make(map[PortRef]bool, 2*len(c.links))
+		for l := range c.links {
+			t.ports[l.Src] = true
+			t.ports[l.Dst] = true
+		}
+		t.portsValid = true
 	}
-	return out
+	return t.ports
 }
 
 // RemoveLink implements API.
 func (c *Controller) RemoveLink(l Link) {
 	if _, ok := c.links[l]; ok {
-		c.m.linksRemoved.Inc()
-		c.event(obs.KindTopology, "link-removed", l.Src, "evicted "+l.String())
-		for _, o := range c.removalObservers {
-			o.ObserveLinkRemoved(l, "api")
-		}
-		c.discovery.linkRemoved(l, "api")
+		c.removeLink(l, "api", linkDetail("evicted", l))
 	}
-	delete(c.links, l)
-	delete(c.linkBorn, l)
 	c.invalidateTopo()
 }
 
@@ -590,7 +618,7 @@ func (c *Controller) Switches() []uint64 {
 	for dpid := range c.conns {
 		out = append(out, dpid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -625,17 +653,27 @@ func (c *Controller) sendFlowMod(dpid uint64, fm *openflow.FlowMod) {
 	conn.sendMsg(fm)
 }
 
-// sendPacketOut injects a packet at a switch.
+// sendPacketOut injects a packet at a switch. The message is built in
+// the controller's scratch and marshaled at once, so neither it nor
+// actions and data are referenced after the call.
 func (c *Controller) sendPacketOut(dpid uint64, inPort uint32, actions []openflow.Action, data []byte) {
 	conn, ok := c.conns[dpid]
 	if !ok {
 		return
 	}
 	c.m.packetOuts.Inc()
-	conn.sendMsg(&openflow.PacketOut{
+	c.packetOut = openflow.PacketOut{
 		BufferID: openflow.NoBuffer,
 		InPort:   inPort,
 		Actions:  actions,
 		Data:     data,
-	})
+	}
+	conn.sendMsg(&c.packetOut)
+	c.packetOut = openflow.PacketOut{}
+}
+
+// sendPacketOutTo injects a packet at a switch with one output action.
+func (c *Controller) sendPacketOutTo(dpid uint64, inPort, outPort uint32, data []byte) {
+	c.outAction[0] = openflow.Output(outPort)
+	c.sendPacketOut(dpid, inPort, c.outAction[:], data)
 }

@@ -2,7 +2,7 @@ package controller
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sdntamper/internal/lldp"
@@ -35,7 +35,7 @@ func (c *Controller) sortedPortsInto(ports map[uint32]openflow.PortDesc) []uint3
 	for no := range ports {
 		out = append(out, no)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	c.portScratch = out
 	return out
 }
@@ -43,7 +43,7 @@ func (c *Controller) sortedPortsInto(ports map[uint32]openflow.PortDesc) []uint3
 // emitLLDP constructs, optionally stamps and signs, and emits one LLDP
 // probe out of the given port.
 func (c *Controller) emitLLDP(dpid uint64, port uint32) {
-	frame := c.BuildLLDP(dpid, port)
+	frame := c.buildLLDP(dpid, port)
 	origin := PortRef{DPID: dpid, Port: port}
 	c.m.lldpSent.Inc()
 	tr := c.tracer
@@ -67,15 +67,15 @@ func (c *Controller) emitLLDP(dpid uint64, port uint32) {
 		tr.SetCurrent(rootID)
 	}
 	c.pendingLLDP[origin] = pendingProbe{at: c.kernel.Now(), span: rootID}
-	ev := &LLDPSendEvent{Origin: origin, SentAt: c.kernel.Now()}
+	c.lldpSendEv = LLDPSendEvent{Origin: origin, SentAt: c.kernel.Now()}
 	for _, o := range c.lldpObservers {
-		o.ObserveLLDPSend(ev)
+		o.ObserveLLDPSend(&c.lldpSendEv)
 	}
 	c.lldpBuf = packet.AppendEthernetHeader(c.lldpBuf[:0], lldp.MulticastMAC, switchPortMAC(dpid, port), packet.EtherTypeLLDP)
 	c.lldpBuf = frame.AppendTo(c.lldpBuf)
 	c.m.discProbes.Inc()
 	c.m.discBytes.Add(uint64(len(c.lldpBuf)))
-	c.sendPacketOut(dpid, openflow.PortNone, []openflow.Action{openflow.Output(port)}, c.lldpBuf)
+	c.sendPacketOutTo(dpid, openflow.PortNone, port, c.lldpBuf)
 	if tr != nil {
 		tr.SetCurrent(prev)
 	}
@@ -85,12 +85,20 @@ func (c *Controller) emitLLDP(dpid uint64, port uint32) {
 // given origin, including timestamp and signature TLVs per configuration.
 // Exposed so benchmarks can measure construction cost (Table II).
 func (c *Controller) BuildLLDP(dpid uint64, port uint32) *lldp.Frame {
-	frame := &lldp.Frame{ChassisID: dpid, PortID: port, TTLSecs: lldpTTLSecs}
+	frame := c.buildLLDP(dpid, port)
+	return &frame
+}
+
+// buildLLDP is BuildLLDP by value: emission appends the frame straight
+// into the discovery scratch buffer, so the frame itself never reaches
+// the heap.
+func (c *Controller) buildLLDP(dpid uint64, port uint32) lldp.Frame {
+	frame := lldp.Frame{ChassisID: dpid, PortID: port, TTLSecs: lldpTTLSecs}
 	if c.keychain != nil {
 		if c.stampLLDP {
 			frame.Timestamp = c.keychain.SealTimestamp(c.kernel.Now())
 		}
-		c.keychain.Sign(frame)
+		c.keychain.Sign(&frame)
 	}
 	return frame
 }
@@ -134,13 +142,14 @@ func (c *Controller) handleLLDPIn(ev *PacketInEvent) {
 	delete(c.pendingLLDP, src)
 
 	_, exists := c.links[l]
-	linkEv := &LinkEvent{
+	c.linkEv = LinkEvent{
 		Link:       l,
 		Frame:      frame,
 		SentAt:     sentAt,
 		ReceivedAt: ev.When,
 		IsNew:      !exists,
 	}
+	linkEv := &c.linkEv
 	if tr := c.tracer; tr != nil {
 		// The flight span covers the probe's whole emission-to-receipt
 		// interval and parents the verdict spans the approvers are about

@@ -49,7 +49,7 @@ func (c *Controller) forward(ev *PacketInEvent) {
 		}
 		out = p
 	}
-	c.sendPacketOut(first, ev.InPort, []openflow.Action{openflow.Output(out)}, ev.Data)
+	c.sendPacketOutTo(first, ev.InPort, out, ev.Data)
 }
 
 var lldpMulticast = packet.MAC{0x01, 0x80, 0xc2, 0x00, 0x00, 0x0e}
@@ -102,7 +102,7 @@ func (c *Controller) flood(ev *PacketInEvent) {
 	// frame emissions and hence downstream RNG draws.
 	for _, dpid := range c.Switches() {
 		conn := c.conns[dpid]
-		var actions []openflow.Action
+		actions := c.floodActions[:0]
 		for _, no := range c.sortedPortsInto(conn.ports) {
 			if !conn.ports[no].Up {
 				continue
@@ -116,6 +116,7 @@ func (c *Controller) flood(ev *PacketInEvent) {
 		if len(actions) > 0 {
 			c.sendPacketOut(dpid, openflow.PortNone, actions, ev.Data)
 		}
+		c.floodActions = actions[:0]
 	}
 }
 

@@ -86,15 +86,16 @@ func (c *Controller) MeasureControlRTT(dpid uint64, timeout time.Duration, cb fu
 		cb(0, false)
 	})
 	c.pendingPathProbes[nonce] = p
-	c.sendPacketOut(dpid, openflow.PortNone,
-		[]openflow.Action{openflow.OutputController()}, frame.Marshal())
+	c.sendPacketOutTo(dpid, openflow.PortNone, openflow.PortController, frame.Marshal())
 }
 
-func (c *Controller) resolvePathProbe(eth *packet.Ethernet) {
-	if len(eth.Payload) < 8 {
+// resolvePathProbe completes the control-RTT probe whose returning
+// frame carries payload.
+func (c *Controller) resolvePathProbe(payload []byte) {
+	if len(payload) < 8 {
 		return
 	}
-	nonce := binary.BigEndian.Uint64(eth.Payload[:8])
+	nonce := binary.BigEndian.Uint64(payload[:8])
 	p, ok := c.pendingPathProbes[nonce]
 	if !ok {
 		return
@@ -128,8 +129,7 @@ func (c *Controller) ProbeHost(loc PortRef, mac packet.MAC, ip packet.IPv4Addr, 
 	})
 	c.pendingHostProbes[id] = p
 	echo := packet.NewICMPEcho(ControllerMAC, mac, ControllerIP, ip, id, 1, false)
-	c.sendPacketOut(loc.DPID, openflow.PortNone,
-		[]openflow.Action{openflow.Output(loc.Port)}, echo.Marshal())
+	c.sendPacketOutTo(loc.DPID, openflow.PortNone, loc.Port, echo.Marshal())
 }
 
 // resolveHostProbe intercepts ICMP echo replies addressed to the

@@ -178,7 +178,10 @@ func newSOFTDPStrategy(c *Controller) *softdpStrategy {
 		},
 		Evict: func(l softdp.Link, reason string) {
 			cl := fromSoftdpLink(l)
-			c.removeLinksMatching(func(x Link) bool { return x == cl }, reason)
+			if _, ok := c.links[cl]; ok {
+				c.removeLink(cl, reason, linkDetail(reason, cl))
+				c.invalidateTopo()
+			}
 		},
 		PathState: func(l softdp.Link) (alive, anchored bool) {
 			return c.pathAnchorState(fromSoftdpPort(l.Src), fromSoftdpPort(l.Dst))

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sdntamper/internal/obs"
@@ -19,6 +21,12 @@ type topoCache struct {
 	adj    map[uint64][]uint64      // switch -> neighbor DPIDs, ascending
 	paths  map[switchPair][]uint64  // memoized BFS results; nil = no path
 	egress map[switchPair]egressSel // memoized egress-port selections
+
+	// ports is LinkPorts' answer, built on first use after an
+	// invalidation. A published map is never written again: a rebuild
+	// makes a new one, so a caller holding the old one keeps a snapshot.
+	ports      map[PortRef]bool
+	portsValid bool
 }
 
 // switchPair keys the per-(src,dst) caches.
@@ -35,18 +43,20 @@ type egressSel struct {
 
 // invalidateTopo drops every derived topology view; the next forwarding
 // query rebuilds them from c.links.
-func (c *Controller) invalidateTopo() { c.topo.valid = false }
+func (c *Controller) invalidateTopo() {
+	c.topo.valid = false
+	c.topo.portsValid = false
+}
 
 // sortLinks orders links by (Src, Dst) so every bulk operation over the
-// link map — snapshots, evictions — runs in a reproducible order.
+// link map — snapshots, evictions — runs in a reproducible order. It
+// does not allocate, so the per-second sweep costs nothing when it
+// evicts nothing.
 func sortLinks(ls []Link) {
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Src != ls[j].Src {
-			return ls[i].Src.DPID < ls[j].Src.DPID ||
-				(ls[i].Src.DPID == ls[j].Src.DPID && ls[i].Src.Port < ls[j].Src.Port)
-		}
-		return ls[i].Dst.DPID < ls[j].Dst.DPID ||
-			(ls[i].Dst.DPID == ls[j].Dst.DPID && ls[i].Dst.Port < ls[j].Dst.Port)
+	slices.SortFunc(ls, func(a, b Link) int {
+		return cmp.Or(
+			cmp.Compare(a.Src.DPID, b.Src.DPID), cmp.Compare(a.Src.Port, b.Src.Port),
+			cmp.Compare(a.Dst.DPID, b.Dst.DPID), cmp.Compare(a.Dst.Port, b.Dst.Port))
 	})
 }
 
@@ -55,7 +65,11 @@ func sortLinks(ls []Link) {
 // metric order must not depend on map iteration), and reports how many
 // links left the topology.
 func (c *Controller) removeLinksMatching(pred func(Link) bool, reason string) int {
-	doomed := make([]Link, 0, len(c.links))
+	// The selection is built in the controller's scratch slice, taken for
+	// the duration of the call so that an eviction an observer triggers
+	// gets a fresh one instead of overwriting this one.
+	doomed := c.doomed[:0]
+	c.doomed = nil
 	for l := range c.links {
 		if pred(l) {
 			doomed = append(doomed, l)
@@ -63,19 +77,37 @@ func (c *Controller) removeLinksMatching(pred func(Link) bool, reason string) in
 	}
 	sortLinks(doomed)
 	for _, l := range doomed {
-		delete(c.links, l)
-		delete(c.linkBorn, l)
-		c.m.linksRemoved.Inc()
-		c.event(obs.KindTopology, "link-removed", l.Src, reason+" "+l.String())
-		for _, o := range c.removalObservers {
-			o.ObserveLinkRemoved(l, reason)
-		}
-		c.discovery.linkRemoved(l, reason)
+		c.removeLink(l, reason, linkDetail(reason, l))
 	}
 	if len(doomed) > 0 {
 		c.invalidateTopo()
 	}
+	c.doomed = doomed[:0]
 	return len(doomed)
+}
+
+// removeLink evicts one link that is in the topology and announces it:
+// the link-removed event carrying detail, then the removal observers and
+// the discovery strategy with reason. The caller invalidates the
+// topology cache.
+func (c *Controller) removeLink(l Link, reason, detail string) {
+	delete(c.links, l)
+	delete(c.linkBorn, l)
+	c.m.linksRemoved.Inc()
+	c.event(obs.KindTopology, "link-removed", l.Src, detail)
+	for _, o := range c.removalObservers {
+		o.ObserveLinkRemoved(l, reason)
+	}
+	c.discovery.linkRemoved(l, reason)
+}
+
+// linkDetail renders "prefix link" for a topology event in one
+// allocation.
+func linkDetail(prefix string, l Link) string {
+	var buf [96]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, ' ')
+	return string(l.appendTo(b))
 }
 
 // ensureTopo rebuilds the derived views after an invalidation and returns

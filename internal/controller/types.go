@@ -9,6 +9,7 @@ package controller
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"sdntamper/internal/lldp"
@@ -73,7 +74,15 @@ type PortRef struct {
 }
 
 // String renders the reference as dpid:port.
-func (p PortRef) String() string { return fmt.Sprintf("0x%x:%d", p.DPID, p.Port) }
+func (p PortRef) String() string { return string(p.appendTo(make([]byte, 0, 32))) }
+
+// appendTo appends String's rendering to b.
+func (p PortRef) appendTo(b []byte) []byte {
+	b = append(b, "0x"...)
+	b = strconv.AppendUint(b, p.DPID, 16)
+	b = append(b, ':')
+	return strconv.AppendUint(b, uint64(p.Port), 10)
+}
 
 // Link is a directed switch-to-switch link inferred from LLDP.
 type Link struct {
@@ -82,7 +91,14 @@ type Link struct {
 }
 
 // String renders the link for traces and alerts.
-func (l Link) String() string { return l.Src.String() + "->" + l.Dst.String() }
+func (l Link) String() string { return string(l.appendTo(make([]byte, 0, 64))) }
+
+// appendTo appends String's rendering to b.
+func (l Link) appendTo(b []byte) []byte {
+	b = l.Src.appendTo(b)
+	b = append(b, "->"...)
+	return l.Dst.appendTo(b)
+}
 
 // Reverse returns the link with endpoints swapped.
 func (l Link) Reverse() Link { return Link{Src: l.Dst, Dst: l.Src} }
@@ -190,7 +206,10 @@ type Binder interface {
 }
 
 // PacketInInterceptor sees every Packet-In before core processing.
-// Returning false drops the event entirely.
+// Returning false drops the event entirely. The event, its Eth and LLDP
+// headers and its Data are valid only during the call: the controller
+// reuses them for the next Packet-In, so a module keeps copies, never
+// the pointers or slices.
 type PacketInInterceptor interface {
 	InterceptPacketIn(ev *PacketInEvent) bool
 }
@@ -200,7 +219,8 @@ type PortStatusObserver interface {
 	ObservePortStatus(ev *PortStatusEvent)
 }
 
-// LinkApprover can veto a link update before it enters the topology.
+// LinkApprover can veto a link update before it enters the topology. Like
+// every event below, a LinkEvent is valid only during the call.
 type LinkApprover interface {
 	ApproveLink(ev *LinkEvent) bool
 }
@@ -222,7 +242,8 @@ type HostMoveObserver interface {
 	ObserveHostMove(ev *HostMoveEvent)
 }
 
-// LLDPSendObserver sees each LLDP probe emission.
+// LLDPSendObserver sees each LLDP probe emission. The event is valid only
+// during the call.
 type LLDPSendObserver interface {
 	ObserveLLDPSend(ev *LLDPSendEvent)
 }
@@ -290,7 +311,8 @@ type API interface {
 	Metrics() *obs.Registry
 	// Links snapshots the current topology.
 	Links() []Link
-	// LinkPorts reports the set of ports currently acting as link endpoints.
+	// LinkPorts reports the set of ports currently acting as link
+	// endpoints. The map is shared and must not be modified.
 	LinkPorts() map[PortRef]bool
 	// HostByMAC looks up a host tracking entry.
 	HostByMAC(mac packet.MAC) (HostEntry, bool)

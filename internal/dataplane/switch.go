@@ -150,8 +150,8 @@ func (p *Port) CarrierChange(up bool) {
 }
 
 // send forwards data out of the port without copying it. data is either
-// the immutable frame the ingress link delivered or the PacketOut body
-// openflow.Unmarshal copied out of the control message; a flood hands the
+// the immutable frame the ingress link delivered or a PacketOut body,
+// which aliases the control message the switch owns; a flood hands the
 // same bytes to every egress link (see package link).
 func (p *Port) send(data []byte) {
 	if !p.up {
@@ -189,6 +189,11 @@ type Switch struct {
 	// control traffic does not allocate per message. Safe because the
 	// sender contract (SetControlSender) forbids retaining the buffer.
 	txBuf []byte
+	// packetIn is sendPacketIn's scratch, marshaled into txBuf as soon
+	// as it is built.
+	packetIn openflow.PacketIn
+	// dec decodes each control message before the next one arrives.
+	dec openflow.Decoder
 }
 
 // SwitchOption configures a Switch.
@@ -300,17 +305,25 @@ func (s *Switch) sendPortStatus(p *Port, reason uint8) {
 	})
 }
 
+// sendPacketIn punts a frame to the controller, building the PacketIn in
+// the switch's scratch.
+func (s *Switch) sendPacketIn(inPort uint32, reason uint8, data []byte) {
+	s.packetIn = openflow.PacketIn{
+		BufferID: openflow.NoBuffer,
+		InPort:   inPort,
+		Reason:   reason,
+		Data:     data,
+	}
+	s.toController(&s.packetIn)
+	s.packetIn.Data = nil
+}
+
 // handleFrame processes a dataplane frame arriving on port in.
 func (s *Switch) handleFrame(in *Port, data []byte) {
 	fields := openflow.ExtractFields(in.no, data)
 	entry := s.table.Lookup(fields)
 	if entry == nil {
-		s.toController(&openflow.PacketIn{
-			BufferID: openflow.NoBuffer,
-			InPort:   in.no,
-			Reason:   openflow.ReasonNoMatch,
-			Data:     data,
-		})
+		s.sendPacketIn(in.no, openflow.ReasonNoMatch, data)
 		return
 	}
 	entry.Hit(len(data), s.kernel.Now())
@@ -323,12 +336,7 @@ func (s *Switch) execute(actions []openflow.Action, inPort uint32, data []byte) 
 	for _, a := range actions {
 		switch a.Port {
 		case openflow.PortController:
-			s.toController(&openflow.PacketIn{
-				BufferID: openflow.NoBuffer,
-				InPort:   inPort,
-				Reason:   openflow.ReasonAction,
-				Data:     data,
-			})
+			s.sendPacketIn(inPort, openflow.ReasonAction, data)
 		case openflow.PortFlood:
 			for _, no := range s.order {
 				if no != inPort {
@@ -353,9 +361,11 @@ func (s *Switch) execute(actions []openflow.Action, inPort uint32, data []byte) 
 
 // HandleControl processes one OpenFlow message arriving from the
 // controller. Malformed messages are dropped, as a real agent drops
-// undecodable control traffic.
+// undecodable control traffic. The switch takes ownership of data: it is
+// decoded in place, and a PacketOut body goes onto the dataplane as is,
+// so the caller must never write data again.
 func (s *Switch) HandleControl(data []byte) {
-	xid, m, err := openflow.Unmarshal(data)
+	xid, m, err := s.dec.Decode(data)
 	if err != nil {
 		return
 	}

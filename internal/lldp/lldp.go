@@ -118,9 +118,33 @@ func appendOrgTLV(buf []byte, subtype uint8, data []byte) []byte {
 	return append(buf, data...)
 }
 
-// Unmarshal decodes LLDP TLV wire bytes.
+// Unmarshal decodes LLDP TLV wire bytes. The frame owns its memory: its
+// Auth and Timestamp are copies, so the caller may reuse b.
 func Unmarshal(b []byte) (*Frame, error) {
-	f := &Frame{}
+	f, err := Decode(b)
+	if err != nil {
+		return nil, err
+	}
+	f.Auth = clone(f.Auth)
+	f.Timestamp = clone(f.Timestamp)
+	return &f, nil
+}
+
+// clone copies b, keeping nil as nil: an absent TLV stays absent.
+func clone(b []byte) []byte {
+	if b == nil {
+		return nil
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// Decode decodes LLDP TLV wire bytes like Unmarshal, but in place: the
+// frame's Auth and Timestamp alias b. Use it on a buffer nobody writes
+// again, such as the payload of a control message the caller owns.
+func Decode(b []byte) (Frame, error) {
+	var f Frame
 	seenChassis, seenPort := false, false
 	for len(b) >= 2 {
 		header := binary.BigEndian.Uint16(b[:2])
@@ -128,39 +152,38 @@ func Unmarshal(b []byte) (*Frame, error) {
 		length := int(header & 0x1ff)
 		b = b[2:]
 		if len(b) < length {
-			return nil, fmt.Errorf("%w: TLV %d claims %d bytes, %d remain", ErrMalformed, typ, length, len(b))
+			return Frame{}, fmt.Errorf("%w: TLV %d claims %d bytes, %d remain", ErrMalformed, typ, length, len(b))
 		}
 		value := b[:length]
 		b = b[length:]
 		switch typ {
 		case tlvEnd:
 			if !seenChassis || !seenPort {
-				return nil, fmt.Errorf("%w: missing mandatory TLVs", ErrMalformed)
+				return Frame{}, fmt.Errorf("%w: missing mandatory TLVs", ErrMalformed)
 			}
 			return f, nil
 		case tlvChassisID:
 			if length != 9 {
-				return nil, fmt.Errorf("%w: chassis TLV length %d", ErrMalformed, length)
+				return Frame{}, fmt.Errorf("%w: chassis TLV length %d", ErrMalformed, length)
 			}
 			f.ChassisID = binary.BigEndian.Uint64(value[1:])
 			seenChassis = true
 		case tlvPortID:
 			if length != 5 {
-				return nil, fmt.Errorf("%w: port TLV length %d", ErrMalformed, length)
+				return Frame{}, fmt.Errorf("%w: port TLV length %d", ErrMalformed, length)
 			}
 			f.PortID = binary.BigEndian.Uint32(value[1:])
 			seenPort = true
 		case tlvTTL:
 			if length != 2 {
-				return nil, fmt.Errorf("%w: TTL TLV length %d", ErrMalformed, length)
+				return Frame{}, fmt.Errorf("%w: TTL TLV length %d", ErrMalformed, length)
 			}
 			f.TTLSecs = binary.BigEndian.Uint16(value)
 		case tlvOrgSpecific:
 			if length < 4 || [3]byte(value[:3]) != oui {
 				continue // unknown organization: skip
 			}
-			data := make([]byte, length-4)
-			copy(data, value[4:])
+			data := value[4:length:length]
 			switch value[3] {
 			case orgSubtypeAuth:
 				f.Auth = data
@@ -171,7 +194,7 @@ func Unmarshal(b []byte) (*Frame, error) {
 			// Unknown standard TLV: skip, as real parsers do.
 		}
 	}
-	return nil, fmt.Errorf("%w: missing end TLV", ErrMalformed)
+	return Frame{}, fmt.Errorf("%w: missing end TLV", ErrMalformed)
 }
 
 // NewEthernet wraps the LLDP frame in an Ethernet frame from srcHW to the

@@ -47,8 +47,13 @@ func (a Action) encode(buf []byte) []byte {
 	return binary.BigEndian.AppendUint32(buf, a.Port)
 }
 
-func decodeActions(b []byte, n int) ([]Action, []byte, error) {
-	actions := make([]Action, 0, n)
+// decodeActions decodes n actions from the front of b into dst's storage
+// when it holds n, into a new slice otherwise.
+func decodeActions(dst []Action, b []byte, n int) ([]Action, []byte, error) {
+	actions := dst[:0]
+	if actions == nil || cap(actions) < n {
+		actions = make([]Action, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		if len(b) < actionLen {
 			return nil, nil, fmt.Errorf("%w: action %d needs %d bytes, have %d", ErrTruncated, i, actionLen, len(b))

@@ -144,8 +144,53 @@ func AppendMarshal(buf []byte, xid uint32, m Message) []byte {
 }
 
 // Unmarshal decodes one message from wire bytes, returning the transaction
-// id and the typed body.
+// id and the typed body. The message owns its memory: its byte slices are
+// copies, so the caller may reuse b.
 func Unmarshal(b []byte) (xid uint32, m Message, err error) {
+	xid, m, err = Decode(b)
+	switch msg := m.(type) {
+	case *EchoRequest:
+		msg.Data = clone(msg.Data)
+	case *EchoReply:
+		msg.Data = clone(msg.Data)
+	case *PacketIn:
+		msg.Data = clone(msg.Data)
+	case *PacketOut:
+		msg.Data = clone(msg.Data)
+	}
+	return xid, m, err
+}
+
+// clone returns an exact-length copy of b.
+func clone(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// Decode decodes one message like Unmarshal, but in place: the echo,
+// PacketIn and PacketOut data of the returned message alias b. Use it on
+// a buffer the caller owns and nobody writes again. Every control
+// message a receiver is handed is one: link.Channel.Send copies at
+// ingress and ofnet.Conn.ReceiveRaw reads each message into a fresh
+// buffer.
+func Decode(b []byte) (xid uint32, m Message, err error) { return decode(b, nil) }
+
+// Decoder decodes like Decode, and also reuses one PacketIn and one
+// PacketOut value across calls, so a receiver that is done with each
+// message before it decodes the next pays no allocation for either. A
+// PacketIn or PacketOut a Decoder returns, its action list included, is
+// valid until the Decoder's next call.
+type Decoder struct {
+	packetIn  PacketIn
+	packetOut PacketOut
+}
+
+// Decode decodes one message in place; see Decoder.
+func (d *Decoder) Decode(b []byte) (xid uint32, m Message, err error) { return decode(b, d) }
+
+// decode is Decode, reusing d's messages when d is not nil.
+func decode(b []byte, d *Decoder) (xid uint32, m Message, err error) {
 	if len(b) < headerLen {
 		return 0, nil, fmt.Errorf("%w: header needs %d bytes, have %d", ErrTruncated, headerLen, len(b))
 	}
@@ -171,11 +216,23 @@ func Unmarshal(b []byte) (xid uint32, m Message, err error) {
 	case TypeFeaturesReply:
 		m, err = decodeFeaturesReply(body)
 	case TypePacketIn:
-		m, err = decodePacketIn(body)
+		var p *PacketIn
+		if d != nil {
+			p = &d.packetIn
+		} else {
+			p = new(PacketIn)
+		}
+		m, err = p, decodePacketIn(body, p)
 	case TypePortStatus:
 		m, err = decodePortStatus(body)
 	case TypePacketOut:
-		m, err = decodePacketOut(body)
+		var p *PacketOut
+		if d != nil {
+			p = &d.packetOut
+		} else {
+			p = new(PacketOut)
+		}
+		m, err = p, decodePacketOut(body, p)
 	case TypeFlowMod:
 		m, err = decodeFlowMod(body)
 	case TypeStatsRequest:
@@ -226,8 +283,7 @@ func (*EchoReply) MessageType() MessageType { return TypeEchoReply }
 func (e *EchoReply) encodeBody(buf []byte) []byte { return append(buf, e.Data...) }
 
 func decodeEcho(body []byte, reply bool) (Message, error) {
-	data := make([]byte, len(body))
-	copy(data, body)
+	data := body[:len(body):len(body)]
 	if reply {
 		return &EchoReply{Data: data}, nil
 	}
@@ -350,18 +406,17 @@ func (p *PacketIn) encodeBody(buf []byte) []byte {
 	return append(buf, p.Data...)
 }
 
-func decodePacketIn(b []byte) (Message, error) {
+func decodePacketIn(b []byte, p *PacketIn) error {
 	if len(b) < 9 {
-		return nil, fmt.Errorf("%w: packet-in needs 9 bytes", ErrTruncated)
+		return fmt.Errorf("%w: packet-in needs 9 bytes", ErrTruncated)
 	}
-	p := &PacketIn{
+	*p = PacketIn{
 		BufferID: binary.BigEndian.Uint32(b[0:4]),
 		InPort:   binary.BigEndian.Uint32(b[4:8]),
 		Reason:   b[8],
+		Data:     b[9:len(b):len(b)],
 	}
-	p.Data = make([]byte, len(b)-9)
-	copy(p.Data, b[9:])
-	return p, nil
+	return nil
 }
 
 // PortStatus announces a port state change (the Port-Down / Port-Up events
@@ -411,27 +466,24 @@ func (p *PacketOut) encodeBody(buf []byte) []byte {
 	return append(buf, p.Data...)
 }
 
-func decodePacketOut(b []byte) (Message, error) {
+// decodePacketOut decodes into p, reusing the capacity of p's action
+// list.
+func decodePacketOut(b []byte, p *PacketOut) error {
 	if len(b) < 10 {
-		return nil, fmt.Errorf("%w: packet-out needs 10 bytes", ErrTruncated)
-	}
-	p := &PacketOut{
-		BufferID: binary.BigEndian.Uint32(b[0:4]),
-		InPort:   binary.BigEndian.Uint32(b[4:8]),
+		return fmt.Errorf("%w: packet-out needs 10 bytes", ErrTruncated)
 	}
 	n := int(binary.BigEndian.Uint16(b[8:10]))
-	rest := b[10:]
-	var err error
-	p.Actions, rest, err = decodeActions(rest, n)
+	actions, rest, err := decodeActions(p.Actions, b[10:], n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// The body is copied out of the control message because a switch
-	// forwards PacketOut data onto its dataplane links as is, and links
-	// take ownership of what they are sent without copying.
-	p.Data = make([]byte, len(rest))
-	copy(p.Data, rest)
-	return p, nil
+	*p = PacketOut{
+		BufferID: binary.BigEndian.Uint32(b[0:4]),
+		InPort:   binary.BigEndian.Uint32(b[4:8]),
+		Actions:  actions,
+		Data:     rest[:len(rest):len(rest)],
+	}
+	return nil
 }
 
 // FlowMod commands.
@@ -482,7 +534,7 @@ func decodeFlowMod(b []byte) (Message, error) {
 	f.IdleTimeout = binary.BigEndian.Uint16(rest[2:4])
 	f.HardTimeout = binary.BigEndian.Uint16(rest[4:6])
 	n := int(binary.BigEndian.Uint16(rest[6:8]))
-	f.Actions, _, err = decodeActions(rest[8:], n)
+	f.Actions, _, err = decodeActions(nil, rest[8:], n)
 	if err != nil {
 		return nil, err
 	}

@@ -521,16 +521,21 @@ func (k *Kernel) NewTicker(interval time.Duration, fn func()) *Ticker {
 	return t
 }
 
+// arm schedules the next firing through ScheduleArg, so re-arming costs
+// no closure allocation.
 func (t *Ticker) arm() {
-	t.pending = t.kernel.Schedule(t.interval, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+	t.pending = t.kernel.ScheduleArg(t.interval, fireTicker, t)
+}
+
+func fireTicker(arg any) {
+	t := arg.(*Ticker)
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels all future firings.
