@@ -206,10 +206,10 @@ type Binder interface {
 }
 
 // PacketInInterceptor sees every Packet-In before core processing.
-// Returning false drops the event entirely. The event, its Eth and LLDP
-// headers and its Data are valid only during the call: the controller
-// reuses them for the next Packet-In, so a module keeps copies, never
-// the pointers or slices.
+// Returning false drops the event entirely. The event and the Eth and
+// LLDP headers it points at are valid only during the call: the
+// controller reuses them for the next Packet-In, so a module copies what
+// it keeps.
 type PacketInInterceptor interface {
 	InterceptPacketIn(ev *PacketInEvent) bool
 }

@@ -29,13 +29,6 @@ func (e *controlEstimate) oneWay() (time.Duration, bool) {
 	return e.window.Series().Mean() / 2, true
 }
 
-// linkState is the LLI's memory of one passed link.
-type linkState struct {
-	// overFence records that the link's latest refresh was approved over
-	// the fence once already; the next consecutive one is vetoed.
-	overFence bool
-}
-
 // LLI is the Link Latency Inspector.
 type LLI struct {
 	api      controller.API
@@ -51,9 +44,9 @@ type LLI struct {
 	// links, not against its own attack-supplied measurements.
 	window  *stats.Window
 	samples []LatencySample
-	// links holds every link the LLI has passed, and whether its latest
-	// refresh was over the fence.
-	links map[controller.Link]linkState
+	// passed holds every link the LLI has passed, mapped to whether its
+	// latest refresh was already approved over the fence.
+	passed map[controller.Link]bool
 
 	probeEvent sim.Event
 	started    bool
@@ -84,7 +77,7 @@ func NewLLI(cfg LLIConfig) *LLI {
 		cfg:     cfg,
 		control: make(map[uint64]*controlEstimate),
 		window:  stats.NewWindow(cfg.WindowSize),
-		links:   make(map[controller.Link]linkState),
+		passed:  make(map[controller.Link]bool),
 	}
 }
 
@@ -225,8 +218,8 @@ func (l *LLI) ApproveLink(ev *controller.LinkEvent) bool {
 	if enforce {
 		sample.Threshold = w.IQRThreshold(l.cfg.IQRMultiplier)
 		if latency > sample.Threshold {
-			if st, passed := l.links[ev.Link]; passed && !st.overFence {
-				l.links[ev.Link] = linkState{overFence: true}
+			if overFence, passed := l.passed[ev.Link]; passed && !overFence {
+				l.passed[ev.Link] = true
 				l.samples = append(l.samples, sample)
 				l.verdicts.Pass()
 				return true
@@ -255,7 +248,7 @@ func (l *LLI) pass(sample LatencySample, verified bool) {
 	if verified {
 		l.window.Add(sample.Latency)
 	}
-	l.links[sample.Link] = linkState{}
+	l.passed[sample.Link] = false
 	l.samples = append(l.samples, sample)
 	l.verdicts.Pass()
 }
