@@ -81,17 +81,10 @@ func (c *Controller) emitLLDP(dpid uint64, port uint32) {
 	}
 }
 
-// BuildLLDP constructs the LLDP frame the controller would emit for the
-// given origin, including timestamp and signature TLVs per configuration.
-// Exposed so benchmarks can measure construction cost (Table II).
-func (c *Controller) BuildLLDP(dpid uint64, port uint32) *lldp.Frame {
-	frame := c.buildLLDP(dpid, port)
-	return &frame
-}
-
-// buildLLDP is BuildLLDP by value: emission appends the frame straight
-// into the discovery scratch buffer, so the frame itself never reaches
-// the heap.
+// buildLLDP constructs the LLDP frame the controller emits for the given
+// origin, including timestamp and signature TLVs per configuration. It
+// returns the frame by value: emission appends it straight into the
+// discovery scratch buffer, so the frame itself never reaches the heap.
 func (c *Controller) buildLLDP(dpid uint64, port uint32) lldp.Frame {
 	frame := lldp.Frame{ChassisID: dpid, PortID: port, TTLSecs: lldpTTLSecs}
 	if c.keychain != nil {
