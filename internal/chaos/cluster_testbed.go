@@ -7,12 +7,9 @@ import (
 	"sdntamper/internal/cluster"
 	"sdntamper/internal/controller"
 	"sdntamper/internal/dataplane"
-	"sdntamper/internal/lldp"
 	"sdntamper/internal/netsim"
 	"sdntamper/internal/obs"
 	"sdntamper/internal/sim"
-	"sdntamper/internal/tgplus"
-	"sdntamper/internal/topoguard"
 )
 
 // ClusterTestbed is the chaos testbed for the controller-crash fault
@@ -26,13 +23,7 @@ type ClusterTestbed struct {
 	Net     *netsim.Network
 	Cluster *cluster.Cluster
 
-	replicas []clusterReplica
-}
-
-// clusterReplica is one replica's controller and defense modules.
-type clusterReplica struct {
-	ctl *controller.Controller
-	lli *tgplus.LLI
+	replicas []replica
 }
 
 // NewClusterTestbed assembles the clustered testbed: replicas controller
@@ -42,31 +33,10 @@ func NewClusterTestbed(seed int64, replicas int, trunkLatency sim.Sampler) (*Clu
 	if replicas < 2 {
 		return nil, fmt.Errorf("chaos: cluster testbed needs >= 2 replicas, got %d", replicas)
 	}
-	kc, err := lldp.NewKeychain([]byte("controller-lldp-secret"))
+	net, opts, err := newLine(seed, trunkLatency, false)
 	if err != nil {
 		return nil, err
 	}
-	net := netsim.New(seed,
-		controller.WithKeychain(kc),
-		controller.WithLLDPTimestamps(),
-	)
-	net.SetAutoAttach(false)
-	for dpid := uint64(1); dpid <= 4; dpid++ {
-		net.AddSwitch(dpid, nil)
-	}
-	mkLatency := func() sim.Sampler {
-		if trunkLatency == nil {
-			return netsim.TestbedTrunkLatency()
-		}
-		return trunkLatency
-	}
-	net.AddTrunk(1, 3, 2, 3, mkLatency())
-	net.AddTrunk(2, 4, 3, 4, mkLatency())
-	net.AddTrunk(3, 3, 4, 3, mkLatency())
-	net.AddHost("h1", "cc:cc:cc:cc:cc:01", "10.0.0.1", 1, 1, nil)
-	net.AddHost("h2", "cc:cc:cc:cc:cc:02", "10.0.0.2", 4, 1, nil,
-		dataplane.WithOpenTCPPorts(80))
-
 	ccfg := cluster.DefaultConfig(seed)
 	ccfg.Metrics = net.Metrics()
 	cl := cluster.New(net, ccfg)
@@ -78,21 +48,13 @@ func NewClusterTestbed(seed int64, replicas int, trunkLatency sim.Sampler) (*Clu
 			// Extra replicas share the network's registry so merged
 			// metrics aggregate the whole control plane, and the same
 			// keychain so every replica verifies every other's LLDP.
-			ctl = controller.New(net.Kernel,
-				controller.WithMetrics(net.Metrics()),
-				controller.WithKeychain(kc),
-				controller.WithLLDPTimestamps(),
-			)
+			ctl = controller.New(net.Kernel, append([]controller.Option{controller.WithMetrics(net.Metrics())}, opts...)...)
 		}
 		r := cl.AddReplica(ctl)
-		lli := tgplus.NewLLI(tgplus.DefaultLLIConfig())
-		ctl.Register(topoguard.New())
-		ctl.Register(tgplus.NewCMM(0))
-		ctl.Register(lli)
-		lli.Start()
+		_, _, lli := deployTopoGuardPlus(ctl)
 		r.OnCrash(lli.Stop)
 		r.OnRestart(lli.Start)
-		tb.replicas = append(tb.replicas, clusterReplica{ctl: ctl, lli: lli})
+		tb.replicas = append(tb.replicas, replica{ctl: ctl, lli: lli})
 	}
 
 	// Mastership splits the line down the middle: the first half of the
@@ -116,11 +78,7 @@ func (tb *ClusterTestbed) AlertTotal() int {
 
 // Close stops every replica's defense tickers and controllers.
 func (tb *ClusterTestbed) Close() {
-	for _, r := range tb.replicas {
-		r.lli.Stop()
-		r.ctl.Shutdown()
-	}
-	tb.Net.Shutdown()
+	closeLine(tb.Net, tb.replicas...)
 }
 
 // runClusterTrial is runTrial for the controller-crash class: warm a

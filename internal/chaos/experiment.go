@@ -38,47 +38,70 @@ func NewTestbed(seed int64) (*Testbed, error) {
 // sampler (nil for the Figure 9 default). Tests asserting zero spurious
 // alerts pass a steady sampler so micro-bursts cannot trip the LLI.
 func NewTestbedWith(seed int64, trunkLatency sim.Sampler) (*Testbed, error) {
-	kc, err := lldp.NewKeychain([]byte("controller-lldp-secret"))
+	net, _, err := newLine(seed, trunkLatency, true)
 	if err != nil {
 		return nil, err
 	}
-	net := netsim.New(seed,
-		controller.WithKeychain(kc),
-		controller.WithLLDPTimestamps(),
-	)
-	for dpid := uint64(1); dpid <= 4; dpid++ {
-		net.AddSwitch(dpid, nil)
-	}
-	mkLatency := func() sim.Sampler {
-		if trunkLatency == nil {
-			return netsim.TestbedTrunkLatency()
-		}
-		return trunkLatency
-	}
-	net.AddTrunk(1, 3, 2, 3, mkLatency())
-	net.AddTrunk(2, 4, 3, 4, mkLatency())
-	net.AddTrunk(3, 3, 4, 3, mkLatency())
-	net.AddHost("h1", "cc:cc:cc:cc:cc:01", "10.0.0.1", 1, 1, nil)
-	net.AddHost("h2", "cc:cc:cc:cc:cc:02", "10.0.0.2", 4, 1, nil,
-		dataplane.WithOpenTCPPorts(80))
-
-	tb := &Testbed{
-		Net:       net,
-		TopoGuard: topoguard.New(),
-		CMM:       tgplus.NewCMM(0),
-		LLI:       tgplus.NewLLI(tgplus.DefaultLLIConfig()),
-	}
-	net.Controller.Register(tb.TopoGuard)
-	net.Controller.Register(tb.CMM)
-	net.Controller.Register(tb.LLI)
-	tb.LLI.Start()
+	tb := &Testbed{Net: net}
+	tb.TopoGuard, tb.CMM, tb.LLI = deployTopoGuardPlus(net.Controller)
 	return tb, nil
 }
 
 // Close stops background tickers.
-func (tb *Testbed) Close() {
-	tb.LLI.Stop()
-	tb.Net.Shutdown()
+func (tb *Testbed) Close() { closeLine(tb.Net, replica{tb.Net.Controller, tb.LLI}) }
+
+// newLine builds the network both chaos testbeds run on: the Figure 9
+// line of four switches joined by three trunks (trunkLatency, nil for
+// the Figure 9 default) and end hosts h1 and h2 on the outer switches,
+// under a controller speaking authenticated, timestamped LLDP. With
+// autoAttach off the switches are left for a cluster to attach. It also
+// returns the LLDP options the controller was built with, so extra
+// replicas verify each other's probes.
+func newLine(seed int64, trunkLatency sim.Sampler, autoAttach bool) (*netsim.Network, []controller.Option, error) {
+	kc, err := lldp.NewKeychain([]byte("controller-lldp-secret"))
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := []controller.Option{controller.WithKeychain(kc), controller.WithLLDPTimestamps()}
+	net := netsim.New(seed, opts...)
+	net.SetAutoAttach(autoAttach)
+	for dpid := uint64(1); dpid <= 4; dpid++ {
+		net.AddSwitch(dpid, nil)
+	}
+	net.AddTrunk(1, 3, 2, 3, trunkLatency)
+	net.AddTrunk(2, 4, 3, 4, trunkLatency)
+	net.AddTrunk(3, 3, 4, 3, trunkLatency)
+	net.AddHost("h1", "cc:cc:cc:cc:cc:01", "10.0.0.1", 1, 1, nil)
+	net.AddHost("h2", "cc:cc:cc:cc:cc:02", "10.0.0.2", 4, 1, nil,
+		dataplane.WithOpenTCPPorts(80))
+	return net, opts, nil
+}
+
+// deployTopoGuardPlus registers TopoGuard, the CMM and the LLI on a
+// controller, in that order, and starts the LLI's ticker.
+func deployTopoGuardPlus(ctl *controller.Controller) (*topoguard.TopoGuard, *tgplus.CMM, *tgplus.LLI) {
+	tg, cmm, lli := topoguard.New(), tgplus.NewCMM(0), tgplus.NewLLI(tgplus.DefaultLLIConfig())
+	ctl.Register(tg)
+	ctl.Register(cmm)
+	ctl.Register(lli)
+	lli.Start()
+	return tg, cmm, lli
+}
+
+// replica is one of a testbed's controllers and the LLI deployed on it.
+type replica struct {
+	ctl *controller.Controller
+	lli *tgplus.LLI
+}
+
+// closeLine stops every replica's LLI ticker and controller, then the
+// network's controller and switches.
+func closeLine(net *netsim.Network, replicas ...replica) {
+	for _, r := range replicas {
+		r.lli.Stop()
+		r.ctl.Shutdown()
+	}
+	net.Shutdown()
 }
 
 // Config parameterizes a chaos experiment run.

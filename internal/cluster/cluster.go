@@ -67,8 +67,8 @@ const clusterSeedTag uint64 = 0x636c7573 // "clus"
 
 // Fabric is the network surface the cluster manages: the kernel the
 // replicas run on and each switch's control channel, whose B end faces
-// whichever replica currently masters the switch. Both netsim.Network
-// and netsim.ShardedNetwork satisfy it (with auto-attach disabled).
+// whichever replica currently masters the switch. netsim.Network
+// satisfies it (with auto-attach disabled).
 type Fabric interface {
 	ControlKernel() *sim.Kernel
 	SwitchIDs() []uint64

@@ -29,7 +29,7 @@ import (
 // Trunks use the steady (burst-free) latency so a defense alert in a
 // cluster experiment is evidence, never an IQR-tail artifact.
 type ClusterScenario struct {
-	Net     *netsim.ShardedNetwork
+	Net     *netsim.Network
 	Cluster *cluster.Cluster
 	Def     Defenses
 	// OOB is the attackers' side channel (unwired until an attack
@@ -99,14 +99,7 @@ func NewClusterFig9Scenario(seed int64, shards int, def Defenses, replicate bool
 		}
 		r := cl.AddReplica(ctl)
 		m := deployDefenses(ctl, def)
-		if m.LLI != nil {
-			r.OnCrash(m.LLI.Stop)
-			r.OnRestart(m.LLI.Start)
-		}
-		if m.RateMon != nil {
-			r.OnCrash(m.RateMon.Stop)
-			r.OnRestart(m.RateMon.Start)
-		}
+		m.stopWith(r)
 		s.ctls = append(s.ctls, ctl)
 		s.mods = append(s.mods, m)
 	}
@@ -129,15 +122,7 @@ func (s *ClusterScenario) Run(d time.Duration) error { return s.Net.Run(d) }
 // Close stops every replica's defense tickers and controllers.
 func (s *ClusterScenario) Close() {
 	for _, m := range s.mods {
-		if m.Sphinx != nil {
-			m.Sphinx.Stop()
-		}
-		if m.LLI != nil {
-			m.LLI.Stop()
-		}
-		if m.RateMon != nil {
-			m.RateMon.Stop()
-		}
+		m.stop()
 	}
 	for _, ctl := range s.ctls {
 		ctl.Shutdown()

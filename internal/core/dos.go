@@ -198,7 +198,7 @@ func RunDoS(seed int64, k, shards int, parallel bool, variant attack.DoSVariant)
 	}
 	legit.Stop()
 
-	mon := s.RateMon()
+	mon := s.RateMon
 	blocks := mon.Blocks()
 	res.Blocks = len(blocks)
 	res.Unblocks = mon.Unblocks()

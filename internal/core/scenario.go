@@ -7,6 +7,7 @@ package core
 import (
 	"time"
 
+	"sdntamper/internal/cluster"
 	"sdntamper/internal/controller"
 	"sdntamper/internal/dataplane"
 	"sdntamper/internal/link"
@@ -63,16 +64,13 @@ func FullStack() Defenses {
 	return Defenses{TopoGuard: true, CMM: true, LLI: true, RateMon: true}
 }
 
-// Scenario is an assembled network with its deployed defense modules.
+// Scenario is an assembled network with its deployed defense modules
+// (TopoGuard, Sphinx, CMM, LLI and RateMon, nil when not selected).
 type Scenario struct {
 	Net *netsim.Network
 	Def Defenses
 
-	TopoGuard *topoguard.TopoGuard
-	Sphinx    *sphinx.Sphinx
-	CMM       *tgplus.CMM
-	LLI       *tgplus.LLI
-	RateMon   *ratemon.Monitor
+	defenseModules
 
 	// OOB is the attackers' side channel, when the scenario has one.
 	OOB *link.Channel
@@ -98,15 +96,7 @@ func (s *Scenario) alerts(reasons []string) int {
 
 // Close stops background tickers.
 func (s *Scenario) Close() {
-	if s.Sphinx != nil {
-		s.Sphinx.Stop()
-	}
-	if s.LLI != nil {
-		s.LLI.Stop()
-	}
-	if s.RateMon != nil {
-		s.RateMon.Stop()
-	}
+	s.stop()
 	s.Net.Shutdown()
 }
 
@@ -134,6 +124,32 @@ type defenseModules struct {
 	CMM       *tgplus.CMM
 	LLI       *tgplus.LLI
 	RateMon   *ratemon.Monitor
+}
+
+// stop halts the modules' background tickers.
+func (m defenseModules) stop() {
+	if m.Sphinx != nil {
+		m.Sphinx.Stop()
+	}
+	if m.LLI != nil {
+		m.LLI.Stop()
+	}
+	if m.RateMon != nil {
+		m.RateMon.Stop()
+	}
+}
+
+// stopWith halts the ticking modules while a controller replica is
+// crashed and restarts them when it revives.
+func (m defenseModules) stopWith(r *cluster.Replica) {
+	if m.LLI != nil {
+		r.OnCrash(m.LLI.Stop)
+		r.OnRestart(m.LLI.Start)
+	}
+	if m.RateMon != nil {
+		r.OnCrash(m.RateMon.Stop)
+		r.OnRestart(m.RateMon.Start)
+	}
 }
 
 // deployDefenses registers the selected modules on a controller. Call
@@ -182,10 +198,7 @@ func newScenario(seed int64, def Defenses, extra ...controller.Option) *Scenario
 
 // deploy registers the selected modules. Call after switches are added so
 // module tickers observe a populated network.
-func (s *Scenario) deploy() {
-	m := deployDefenses(s.Net.Controller, s.Def)
-	s.TopoGuard, s.Sphinx, s.CMM, s.LLI, s.RateMon = m.TopoGuard, m.Sphinx, m.CMM, m.LLI, m.RateMon
-}
+func (s *Scenario) deploy() { s.defenseModules = deployDefenses(s.Net.Controller, s.Def) }
 
 // Host link latency used in the evaluation testbed (all dataplane links
 // are 5 ms in Figure 9).
@@ -300,7 +313,21 @@ func FabricatedLinkFig9() controller.Link {
 // the paper's four-switch testbed: k=4 yields 20 switches and 16 hosts,
 // k=8 yields 80 switches and 128 hosts.
 func NewFatTreeScenario(seed int64, k int, def Defenses, ctlOpts ...controller.Option) (*Scenario, *netsim.FatTreeTopology) {
-	s := newScenario(seed, def, ctlOpts...)
+	return newScenario(seed, def, ctlOpts...).buildFatTree(k)
+}
+
+// NewShardedFatTreeScenario builds the NewFatTreeScenario fat-tree on a
+// network with per-entity RNG streams split over the given shard count:
+// controller and core tier on shard 0, pods dealt round-robin over the
+// remaining shards. shards == 1 is the serial reference configuration;
+// every shard count produces the same simulation (see
+// TestShardedByteIdentical).
+func NewShardedFatTreeScenario(seed int64, k, shards int, def Defenses, ctlOpts ...controller.Option) (*Scenario, *netsim.FatTreeTopology) {
+	net := netsim.NewSharded(seed, shards, netsim.FatTreePartition(k, shards), defenseOptions(def, ctlOpts)...)
+	return (&Scenario{Net: net, Def: def}).buildFatTree(k)
+}
+
+func (s *Scenario) buildFatTree(k int) (*Scenario, *netsim.FatTreeTopology) {
 	topo := netsim.BuildFatTree(s.Net, k, netsim.TestbedTrunkLatency(), testbedHostLink())
 	s.deploy()
 	return s, topo

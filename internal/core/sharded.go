@@ -6,56 +6,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sdntamper/internal/controller"
 	"sdntamper/internal/dataplane"
-	"sdntamper/internal/netsim"
 	"sdntamper/internal/obs/trace"
-	"sdntamper/internal/ratemon"
 	"sdntamper/internal/tgplus"
 )
-
-// ShardedScenario is a fat-tree scenario partitioned across shard
-// kernels: the sharded counterpart of Scenario for scale experiments.
-type ShardedScenario struct {
-	Net *netsim.ShardedNetwork
-	Def Defenses
-
-	modules defenseModules
-}
-
-// NewShardedFatTreeScenario builds a k-ary fat-tree under the selected
-// defenses on a sharded network: controller and core tier on shard 0,
-// pods dealt round-robin over the remaining shards. shards == 1 is the
-// serial reference configuration; every shard count produces the same
-// simulation (see TestShardedByteIdentical).
-func NewShardedFatTreeScenario(seed int64, k, shards int, def Defenses, ctlOpts ...controller.Option) (*ShardedScenario, *netsim.FatTreeTopology) {
-	opts := defenseOptions(def, ctlOpts)
-	net := netsim.NewSharded(seed, shards, netsim.FatTreePartition(k, shards), opts...)
-	topo := netsim.BuildFatTreeOn(net, k, netsim.TestbedTrunkLatency(), testbedHostLink())
-	s := &ShardedScenario{Net: net, Def: def}
-	s.modules = deployDefenses(net.Controller, def)
-	return s, topo
-}
-
-// Run advances the scenario's virtual clock across all shards.
-func (s *ShardedScenario) Run(d time.Duration) error { return s.Net.Run(d) }
-
-// Close stops background tickers.
-func (s *ShardedScenario) Close() {
-	if s.modules.Sphinx != nil {
-		s.modules.Sphinx.Stop()
-	}
-	if s.modules.LLI != nil {
-		s.modules.LLI.Stop()
-	}
-	if s.modules.RateMon != nil {
-		s.modules.RateMon.Stop()
-	}
-	s.Net.Shutdown()
-}
-
-// RateMon exposes the deployed rate monitor (nil when not selected).
-func (s *ShardedScenario) RateMon() *ratemon.Monitor { return s.modules.RateMon }
 
 // ShardedScaleResult summarizes one sharded fat-tree scale run. All
 // fields except Wall and ShardEvents are deterministic for a fixed seed

@@ -122,10 +122,10 @@ func FatTreeLocate(k int, dpid uint64) (tier FatTreeTier, pod, index int, ok boo
 }
 
 // Builder is the surface BuildFatTree needs from its target. *Network
-// satisfies it directly; the sharded network builds through it with the
-// exact same call sequence (which is what keeps shard placement from
-// perturbing creation order), and structural tests use a recording
-// implementation that skips the simulation machinery entirely.
+// satisfies it for every shard count (one call sequence is what keeps
+// shard placement from perturbing creation order), and structural tests
+// use a recording implementation that skips the simulation machinery
+// entirely.
 type Builder interface {
 	AddSwitch(dpid uint64, controlLatency sim.Sampler) *dataplane.Switch
 	AddHost(name, mac, ip string, dpid uint64, port uint32, latency sim.Sampler, opts ...dataplane.HostOption) *dataplane.Host
@@ -133,7 +133,7 @@ type Builder interface {
 }
 
 // BuildFatTree assembles a k-ary fat-tree (Al-Fares et al.) on the
-// network: (k/2)² core switches, k pods of k/2 aggregation and k/2 edge
+// builder: (k/2)² core switches, k pods of k/2 aggregation and k/2 edge
 // switches, and k/2 hosts per edge switch. k must be even, between 2 and
 // 32. Trunks use trunkLatency (nil for the testbed default) and host
 // access links hostLatency (nil for zero).
@@ -146,12 +146,7 @@ type Builder interface {
 // uplinks to aggregation a; aggregation port 1+e goes down to edge e and
 // k/2+1+j uplinks to core a*(k/2)+j; core port 1+p goes down to pod p.
 // Host h of edge e in pod p is named "p%d-e%d-h%d" with IP 10.p.e.(2+h).
-func BuildFatTree(n *Network, k int, trunkLatency, hostLatency sim.Sampler) *FatTreeTopology {
-	return BuildFatTreeOn(n, k, trunkLatency, hostLatency)
-}
-
-// BuildFatTreeOn is BuildFatTree generalized over the Builder surface.
-func BuildFatTreeOn(b Builder, k int, trunkLatency, hostLatency sim.Sampler) *FatTreeTopology {
+func BuildFatTree(b Builder, k int, trunkLatency, hostLatency sim.Sampler) *FatTreeTopology {
 	if k < 2 || k > 32 || k%2 != 0 {
 		panic(fmt.Sprintf("netsim: fat-tree arity %d not an even number in [2,32]", k))
 	}
@@ -202,4 +197,30 @@ func BuildFatTreeOn(b Builder, k int, trunkLatency, hostLatency sim.Sampler) *Fa
 		}
 	}
 	return topo
+}
+
+// FatTreePartition maps a k-ary fat-tree onto the given number of shards:
+// shard 0 holds the controller and the core tier, and the pods are dealt
+// round-robin over shards 1..shards-1. With one shard everything lands on
+// shard 0 (the serial reference). Pods are never divided: intra-pod
+// traffic — the bulk of a fat-tree's dataplane load once flows are
+// installed — stays on one kernel, and only pod↔core trunks and control
+// channels cross shards.
+func FatTreePartition(k, shards int) map[uint64]int {
+	part := make(map[uint64]int)
+	half := k / 2
+	for c := 0; c < half*half; c++ {
+		part[FatTreeCoreDPID(k, c)] = 0
+	}
+	for pod := 0; pod < k; pod++ {
+		s := 0
+		if shards > 1 {
+			s = 1 + pod%(shards-1)
+		}
+		for i := 0; i < half; i++ {
+			part[FatTreeAggDPID(k, pod, i)] = s
+			part[FatTreeEdgeDPID(k, pod, i)] = s
+		}
+	}
+	return part
 }

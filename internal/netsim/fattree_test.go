@@ -81,7 +81,7 @@ func TestFatTreeStructuralInvariants(t *testing.T) {
 	for k := 2; k <= 32; k += 2 {
 		half := k / 2
 		rb := &recordingBuilder{}
-		topo := BuildFatTreeOn(rb, k, nil, nil)
+		topo := BuildFatTree(rb, k, nil, nil)
 
 		if got, want := len(rb.switches), half*half+k*k; got != want {
 			t.Fatalf("k=%d: %d switches, want %d", k, got, want)
