@@ -8,6 +8,7 @@ package sdntamper
 // paper reports (real CPU cost of the TopoGuard+ LLDP extensions).
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -74,12 +75,13 @@ func BenchmarkTableII_LLDPConstructionTGPlus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sg := kc.NewSigner()
 	now := time.Unix(1700000000, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := &lldp.Frame{ChassisID: 1, PortID: 2, TTLSecs: 120}
-		f.Timestamp = kc.SealTimestamp(now)
-		kc.Sign(f)
+		f.Timestamp = sg.SealTimestamp(now)
+		sg.Sign(f)
 		_ = f.Marshal()
 	}
 }
@@ -99,10 +101,11 @@ func BenchmarkTableII_LLDPProcessingTGPlus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sg := kc.NewSigner()
 	now := time.Unix(1700000000, 0)
 	f := &lldp.Frame{ChassisID: 1, PortID: 2, TTLSecs: 120}
-	f.Timestamp = kc.SealTimestamp(now)
-	kc.Sign(f)
+	f.Timestamp = sg.SealTimestamp(now)
+	sg.Sign(f)
 	wire := f.Marshal()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,10 +113,10 @@ func BenchmarkTableII_LLDPProcessingTGPlus(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := kc.Verify(got); err != nil {
+		if err := sg.Verify(got); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := kc.OpenTimestamp(got.Timestamp); err != nil {
+		if _, err := sg.OpenTimestamp(got.Timestamp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -483,6 +486,41 @@ func BenchmarkSwitchHop(b *testing.B) {
 	}
 }
 
+// BenchmarkHostReceive measures a host's receive path for one UDP frame
+// addressed to it: decode, an observing OnFrame tap, the IPv4 handler and
+// OnDeliver. The host decodes into its own receive scratch, so the header
+// handed to the hooks must not escape and the path runs allocation-free.
+func BenchmarkHostReceive(b *testing.B) {
+	k := sim.New()
+	l := link.NewLink(k, sim.Const(time.Microsecond))
+	mac, ip := packet.MustMAC("aa:aa:aa:aa:aa:aa"), packet.MustIPv4("10.0.0.1")
+	h := dataplane.NewHost(k, "h", mac, ip, l, link.EndB)
+	tapped, delivered := 0, 0
+	h.OnFrame = func(eth *packet.Ethernet, raw []byte) bool {
+		tapped++
+		return false
+	}
+	h.OnDeliver = func(eth *packet.Ethernet) {
+		if eth.Type == packet.EtherTypeIPv4 {
+			delivered++
+		}
+	}
+	u := &packet.UDP{SrcPort: 5000, DstPort: 9, Payload: make([]byte, 64)}
+	ipv4 := &packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP,
+		Src: packet.MustIPv4("10.0.0.2"), Dst: ip, Payload: u.Marshal()}
+	frame := (&packet.Ethernet{Dst: mac, Src: packet.MustMAC("bb:bb:bb:bb:bb:bb"),
+		Type: packet.EtherTypeIPv4, Payload: ipv4.Marshal()}).Marshal()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ReceiveFrame(frame)
+	}
+	b.StopTimer()
+	if tapped != b.N || delivered != b.N {
+		b.Fatalf("tapped %d and delivered %d of %d frames", tapped, delivered, b.N)
+	}
+}
+
 // BenchmarkSchedule measures the steady-state schedule->fire cycle of the
 // event kernel. After warmup every fired event's slot is recycled through
 // the kernel free list, so the loop must run allocation-free.
@@ -508,6 +546,43 @@ func BenchmarkSchedule(b *testing.B) {
 	k.Schedule(0, next)
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkScheduleDeep is the schedule->fire cycle with 16K events
+// pending, the queue depth of a large fabric's discovery round, where
+// BenchmarkSchedule keeps a one-event heap. Each op fires the earliest
+// event, which reschedules itself after one of 1024 fixed pseudo-random
+// delays (many instants repeat, so seq breaks ties), so every op pays a
+// full-depth sift-down and a sift-up. It must run allocation-free.
+func BenchmarkScheduleDeep(b *testing.B) {
+	const pending = 1 << 14
+	k := sim.New(sim.WithEventLimit(^uint64(0)))
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 1024)
+	for i := range delays {
+		delays[i] = time.Duration(1+rng.Intn(1000)) * time.Microsecond
+	}
+	n := 0
+	var next func()
+	next = func() {
+		n++
+		k.Schedule(delays[n%len(delays)], next)
+	}
+	for i := 0; i < pending; i++ {
+		k.Schedule(delays[i%len(delays)], next)
+	}
+	for i := 0; i < pending; i++ { // warm the heap and the slot free list
+		k.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+	b.StopTimer()
+	if k.Pending() != pending {
+		b.Fatalf("%d events pending, want %d", k.Pending(), pending)
 	}
 }
 

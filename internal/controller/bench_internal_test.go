@@ -82,9 +82,9 @@ func benchDiscoveryController(b *testing.B, switches, ports int) *Controller {
 
 // BenchmarkDiscoveryRound measures one full OFDP discovery round at k=4
 // fat-tree scale (20 switches × 4 ports). Frames, PacketOuts and events
-// are built in the controller's scratch; allocs/op records what remains
-// (the round's sorted switch list), which is the regression surface for
-// the sweep's steady-state churn.
+// are built in the controller's scratch and the sorted switch list is
+// cached, so a round must run allocation-free; allocs/op is the
+// regression surface for the sweep's steady-state churn.
 func BenchmarkDiscoveryRound(b *testing.B) {
 	c := benchDiscoveryController(b, 20, 4)
 	o, ok := c.discovery.(*ofdpStrategy)

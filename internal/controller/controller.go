@@ -45,13 +45,18 @@ type Controller struct {
 	kernel    *sim.Kernel
 	profile   Profile
 	keychain  *lldp.Keychain
+	signer    *lldp.Signer // the keychain's keys with this controller's scratch
 	stampLLDP bool
 	logf      func(format string, args ...any)
 	m         ctlMetrics
 
 	conns   map[uint64]*Conn
 	pending []*Conn // connections awaiting FeaturesReply
-	xid     uint32
+	// switches caches Switches: the sorted dpids of conns, or nil once
+	// conns changes. It is replaced, never edited in place, because
+	// callers may hold a returned slice across later connects.
+	switches []uint64
+	xid      uint32
 
 	// deadSwitches records when each disconnected switch's control channel
 	// went down. Entries clear on reconnect; the sweep ages out host
@@ -211,6 +216,11 @@ func New(kernel *sim.Kernel, opts ...Option) *Controller {
 	for _, opt := range opts {
 		opt(c)
 	}
+	if c.keychain != nil {
+		// Per controller, not per keychain: a cluster's replicas share
+		// one keychain but each runs its own discovery.
+		c.signer = c.keychain.NewSigner()
+	}
 	c.m.bindDiscovery(c.profile.Discovery.String())
 	c.discovery = newDiscoveryStrategy(c)
 	c.discovery.start()
@@ -257,6 +267,7 @@ func (c *Controller) Disconnect(dpid uint64) bool {
 		return false
 	}
 	delete(c.conns, dpid)
+	c.switches = nil
 	c.deadSwitches[dpid] = c.kernel.Now()
 	c.m.switchDisconnects.Inc()
 	c.event(obs.KindTopology, "switch-disconnected", PortRef{DPID: dpid}, "")
@@ -373,6 +384,7 @@ func (conn *Conn) Handle(data []byte) {
 			conn.ports[p.No] = p
 		}
 		c.conns[conn.dpid] = conn
+		c.switches = nil
 		for i, p := range c.pending {
 			if p == conn {
 				c.pending = append(c.pending[:i], c.pending[i+1:]...)
@@ -612,14 +624,18 @@ func (c *Controller) Hosts() []HostEntry {
 	return out
 }
 
-// Switches implements API.
+// Switches implements API. The slice is cached until the next connect or
+// disconnect and shared between callers, so it is read-only.
 func (c *Controller) Switches() []uint64 {
-	out := make([]uint64, 0, len(c.conns))
-	for dpid := range c.conns {
-		out = append(out, dpid)
+	if c.switches == nil {
+		out := make([]uint64, 0, len(c.conns))
+		for dpid := range c.conns {
+			out = append(out, dpid)
+		}
+		slices.Sort(out)
+		c.switches = out
 	}
-	slices.Sort(out)
-	return out
+	return c.switches
 }
 
 // FlowModLog returns every FlowMod the controller has pushed, in order.

@@ -85,13 +85,15 @@ func (c *Controller) emitLLDP(dpid uint64, port uint32) {
 // origin, including timestamp and signature TLVs per configuration. It
 // returns the frame by value: emission appends it straight into the
 // discovery scratch buffer, so the frame itself never reaches the heap.
+// Its timestamp and signature alias the signer's scratch, valid until the
+// next probe is built.
 func (c *Controller) buildLLDP(dpid uint64, port uint32) lldp.Frame {
 	frame := lldp.Frame{ChassisID: dpid, PortID: port, TTLSecs: lldpTTLSecs}
-	if c.keychain != nil {
+	if c.signer != nil {
 		if c.stampLLDP {
-			frame.Timestamp = c.keychain.SealTimestamp(c.kernel.Now())
+			frame.Timestamp = c.signer.SealTimestamp(c.kernel.Now())
 		}
-		c.keychain.Sign(&frame)
+		c.signer.Sign(&frame)
 	}
 	return frame
 }
@@ -105,8 +107,8 @@ func switchPortMAC(dpid uint64, port uint32) [6]byte {
 // probe identity, consult link approvers, and update the topology.
 func (c *Controller) handleLLDPIn(ev *PacketInEvent) {
 	frame := ev.LLDP
-	if c.keychain != nil {
-		if err := c.keychain.Verify(frame); err != nil {
+	if c.signer != nil {
+		if err := c.signer.Verify(frame); err != nil {
 			c.RaiseAlert("LinkDiscoveryManager", "lldp-auth-failure",
 				fmt.Sprintf("unsigned or forged LLDP received on %s", ev.Loc()))
 			return
@@ -121,8 +123,8 @@ func (c *Controller) handleLLDPIn(ev *PacketInEvent) {
 
 	pend, pending := c.pendingLLDP[src]
 	sentAt := ev.When
-	if c.keychain != nil && frame.Timestamp != nil {
-		if t, err := c.keychain.OpenTimestamp(frame.Timestamp); err == nil {
+	if c.signer != nil && frame.Timestamp != nil {
+		if t, err := c.signer.OpenTimestamp(frame.Timestamp); err == nil {
 			sentAt = t
 		}
 	} else if pending {

@@ -324,6 +324,9 @@ type API interface {
 	RemoveLink(l Link)
 	// Profile reports the active controller timing profile.
 	Profile() Profile
-	// Switches lists the datapath ids of connected switches.
+	// Switches lists the datapath ids of connected switches in ascending
+	// order. The slice is read-only: the controller may hand the same one
+	// to every caller until a switch connects or disconnects, and then
+	// builds a new one, so a held slice keeps its contents.
 	Switches() []uint64
 }

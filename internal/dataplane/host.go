@@ -70,6 +70,14 @@ type Host struct {
 
 	// OnFrame, when set, sees every received frame first; returning true
 	// consumes the frame. Attack automata use it to capture LLDP.
+	//
+	// The header passed to OnFrame and OnDeliver is the host's receive
+	// scratch, valid only during the call: the next delivered frame
+	// overwrites it. A hook that keeps anything keeps raw or a copy of the
+	// header; raw and eth.Payload alias the immutable wire frame (see
+	// package link) and may be retained. Links deliver only from the event
+	// loop, never from inside a hook, so the scratch is not reused while a
+	// hook runs.
 	OnFrame func(eth *packet.Ethernet, raw []byte) bool
 	// OnDeliver, when set, receives frames addressed to this host that
 	// the built-in responders did not consume.
@@ -79,6 +87,10 @@ type Host struct {
 
 	rxFrames uint64
 	txFrames uint64
+
+	// rxEth is the receive scratch: ReceiveFrame decodes into it, so a
+	// header handed to the hooks costs no allocation.
+	rxEth packet.Ethernet
 
 	// txBuf is the transmit scratch buffer: locally originated frames are
 	// built into it layer by layer (Ethernet header, IPv4 header, L4
@@ -214,11 +226,12 @@ func (h *Host) ReceiveFrame(data []byte) {
 		return
 	}
 	h.rxFrames++
-	eth, err := packet.DecodeEthernet(data)
-	if err != nil {
+	eth := &h.rxEth
+	var err error
+	if *eth, err = packet.DecodeEthernet(data); err != nil {
 		return
 	}
-	if h.OnFrame != nil && h.OnFrame(&eth, data) {
+	if h.OnFrame != nil && h.OnFrame(eth, data) {
 		return
 	}
 	if !h.Promiscuous && eth.Dst != h.mac && !eth.Dst.IsBroadcast() {
@@ -226,12 +239,12 @@ func (h *Host) ReceiveFrame(data []byte) {
 	}
 	switch eth.Type {
 	case packet.EtherTypeARP:
-		h.handleARP(&eth)
+		h.handleARP(eth)
 	case packet.EtherTypeIPv4:
-		h.handleIPv4(&eth)
+		h.handleIPv4(eth)
 	default:
 		if h.OnDeliver != nil {
-			h.OnDeliver(&eth)
+			h.OnDeliver(eth)
 		}
 	}
 }

@@ -276,18 +276,18 @@ func TestHostSendRawCopiesScratch(t *testing.T) {
 
 func TestOnDeliverSeesUnhandledTraffic(t *testing.T) {
 	k, a, b := hostPair(t)
-	var got *packet.Ethernet
+	var got packet.Ethernet
 	b.OnDeliver = func(e *packet.Ethernet) {
 		if e.Type == packet.EtherTypeIPv4 {
-			got = e
+			got = *e // the header is valid only during the call
 		}
 	}
 	a.SendUDP(b.MAC(), b.IP(), 1000, 2000, []byte("payload"))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil {
-		t.Fatal("UDP frame not delivered")
+	if got.Type != packet.EtherTypeIPv4 || got.Src != a.MAC() {
+		t.Fatalf("UDP frame not delivered: %+v", got)
 	}
 }
 

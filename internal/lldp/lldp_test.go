@@ -265,3 +265,36 @@ func TestRelayedFrameStillVerifies(t *testing.T) {
 		t.Fatalf("relayed authentic frame failed verification: %v", err)
 	}
 }
+
+// TestSignersShareNonceSequence: signers of one keychain draw from its
+// single nonce counter, so interleaving two of them (as a cluster's
+// replicas do) seals exactly the bytes the keychain alone would, and a
+// reused signer signs exactly what a fresh one does.
+func TestSignersShareNonceSequence(t *testing.T) {
+	ref, err := NewKeychain([]byte("replicas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKeychain([]byte("replicas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := k.NewSigner(), k.NewSigner()
+	for i := 0; i < 6; i++ {
+		at := time.Unix(1700000000, int64(i))
+		s := a
+		if i%3 == 1 {
+			s = b
+		}
+		want := &Frame{ChassisID: uint64(i), PortID: 2, TTLSecs: 120, Timestamp: ref.SealTimestamp(at)}
+		ref.Sign(want)
+		got := &Frame{ChassisID: uint64(i), PortID: 2, TTLSecs: 120, Timestamp: s.SealTimestamp(at)}
+		s.Sign(got)
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("probe %d: signer sealed %x, keychain %x", i, got.Marshal(), want.Marshal())
+		}
+		if err := b.Verify(got); err != nil {
+			t.Fatalf("probe %d: %v", i, err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -107,9 +108,9 @@ func (n *naiveKernel) schedule(d time.Duration, id int) *naiveEvent {
 	return e
 }
 
-// run fires events in (time, seq) order, invoking visit for each, until
-// none remain.
-func (n *naiveKernel) run(visit func(id int)) {
+// fire fires events with firing times at or before deadline in
+// (time, seq) order, invoking visit for each.
+func (n *naiveKernel) fire(deadline time.Duration, visit func(id int)) {
 	for {
 		best := -1
 		for i, e := range n.events {
@@ -121,7 +122,7 @@ func (n *naiveKernel) run(visit func(id int)) {
 				best = i
 			}
 		}
-		if best < 0 {
+		if best < 0 || n.events[best].at > deadline {
 			return
 		}
 		e := n.events[best]
@@ -131,81 +132,162 @@ func (n *naiveKernel) run(visit func(id int)) {
 	}
 }
 
+// run fires events until none remain.
+func (n *naiveKernel) run(visit func(id int)) { n.fire(math.MaxInt64, visit) }
+
+// runUntil fires events up to deadline, then advances the clock to it.
+func (n *naiveKernel) runUntil(deadline time.Duration, visit func(id int)) {
+	n.fire(deadline, visit)
+	n.now = max(n.now, deadline)
+}
+
+// reset discards every pending event and rewinds the clock and sequence.
+func (n *naiveKernel) reset() {
+	n.events, n.now, n.seq = nil, 0, 0
+}
+
+type firing struct {
+	id int
+	at time.Duration
+}
+
+// referencePair drives the optimized kernel and the naive reference
+// through one randomized schedule/cancel workload and records both
+// firing traces (event id and firing time).
+type referencePair struct {
+	rng        *rand.Rand
+	k          *Kernel
+	ref        naiveKernel
+	gotK       []firing
+	gotRef     []firing
+	kHandles   []Event
+	refHandles []*naiveEvent
+	nextID     int
+}
+
+func newReferencePair(seed int64) *referencePair {
+	return &referencePair{rng: rand.New(rand.NewSource(seed)), k: New()}
+}
+
+// spawn schedules one event in both kernels and, at random, children of
+// it up to depth more.
+func (p *referencePair) spawn(depth int) {
+	id := p.nextID
+	p.nextID++
+	// Duplicate delays on purpose: seq must break the ties.
+	d := time.Duration(p.rng.Intn(5)) * time.Millisecond
+	p.kHandles = append(p.kHandles, p.k.Schedule(d, func() {
+		p.gotK = append(p.gotK, firing{id, p.k.Elapsed()})
+	}))
+	p.refHandles = append(p.refHandles, p.ref.schedule(d, id))
+	if depth > 0 && p.rng.Intn(2) == 0 {
+		p.spawn(depth - 1)
+	}
+}
+
+// load schedules roots event trees, canceling a random earlier event in
+// both kernels after a third of them (repeated cancels of one handle
+// included), then mass-cancels a stride of every handle so far, enough
+// to push the kernel past its compaction threshold (a chaos flap storm
+// in miniature). Handles from before a Reset are in the stride too: in
+// the kernel they must be inert, in the reference their events are gone.
+func (p *referencePair) load(roots int) {
+	for i := 0; i < roots; i++ {
+		p.spawn(2)
+		if p.rng.Intn(3) == 0 {
+			j := p.rng.Intn(len(p.kHandles))
+			p.kHandles[j].Cancel()
+			p.refHandles[j].canceled = true
+		}
+	}
+	for j := 1; j < len(p.kHandles); j += 2 {
+		p.kHandles[j].Cancel()
+		p.refHandles[j].canceled = true
+	}
+}
+
+func (p *referencePair) runUntil(t *testing.T, d time.Duration) {
+	if err := p.k.RunFor(d); err != nil {
+		t.Fatal(err)
+	}
+	p.ref.runUntil(d, func(id int) { p.gotRef = append(p.gotRef, firing{id, p.ref.now}) })
+}
+
+func (p *referencePair) run(t *testing.T) {
+	if err := p.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	p.ref.run(func(id int) { p.gotRef = append(p.gotRef, firing{id, p.ref.now}) })
+}
+
+// match reports whether both kernels fired the same events at the same
+// times in the same order.
+func (p *referencePair) match(t *testing.T, seed int64) bool {
+	if len(p.gotK) != len(p.gotRef) {
+		t.Errorf("seed %d: fired %d vs reference %d", seed, len(p.gotK), len(p.gotRef))
+		return false
+	}
+	for i := range p.gotK {
+		if p.gotK[i] != p.gotRef[i] {
+			t.Errorf("seed %d: firing %d diverges: kernel %+v, reference %+v",
+				seed, i, p.gotK[i], p.gotRef[i])
+			return false
+		}
+	}
+	return true
+}
+
 // TestFiringOrderMatchesNaiveReference drives the optimized kernel and the
 // naive reference through an identical randomized schedule/cancel/
 // reschedule workload — including heavy cancellation that triggers heap
 // compaction and free-list reuse — and requires byte-identical firing
-// traces (event id and firing time).
+// traces (event id and firing time). The deep case keeps more than 10K
+// events with duplicate instants pending at once; the reset case resets
+// both kernels partway through a run and loads a second workload.
 func TestFiringOrderMatchesNaiveReference(t *testing.T) {
-	type firing struct {
-		id int
-		at time.Duration
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := New()
-		ref := &naiveKernel{}
-
-		var gotK, gotRef []firing
-		var kHandles []Event
-		var refHandles []*naiveEvent
-		nextID := 0
-
-		// Each root event randomly schedules children and cancels earlier
-		// events, exercising reschedule-at-same-instant and mass-cancel.
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			id := nextID
-			nextID++
-			// Duplicate delays on purpose: seq must break the ties.
-			d := time.Duration(rng.Intn(5)) * time.Millisecond
-			kHandles = append(kHandles, k.Schedule(d, func() {
-				gotK = append(gotK, firing{id, k.Elapsed()})
-			}))
-			refHandles = append(refHandles, ref.schedule(d, id))
-			if depth > 0 && rng.Intn(2) == 0 {
-				spawn(depth - 1)
+	t.Run("shallow", func(t *testing.T) {
+		f := func(seed int64) bool {
+			p := newReferencePair(seed)
+			p.load(150)
+			p.run(t)
+			return p.match(t, seed)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("deep", func(t *testing.T) {
+		for seed := int64(1); seed <= 2; seed++ {
+			p := newReferencePair(seed)
+			for p.k.Pending() < 10_000 {
+				p.spawn(2)
+			}
+			p.load(1000)
+			p.run(t)
+			if !p.match(t, seed) {
+				return
 			}
 		}
-		for i := 0; i < 150; i++ {
-			spawn(2)
-			// Cancel a random earlier event in both kernels (repeated
-			// cancels of the same handle included).
-			if len(kHandles) > 0 && rng.Intn(3) == 0 {
-				j := rng.Intn(len(kHandles))
-				kHandles[j].Cancel()
-				refHandles[j].canceled = true
-			}
-		}
-		// Mass-cancel a stride of the schedule, enough to push the kernel
-		// past its compaction threshold (a chaos flap storm in miniature).
-		for j := 1; j < len(kHandles); j += 2 {
-			kHandles[j].Cancel()
-			refHandles[j].canceled = true
-		}
-		if err := k.Run(); err != nil {
-			t.Error(err)
-			return false
-		}
-		ref.run(func(id int) {
-			gotRef = append(gotRef, firing{id, ref.now})
-		})
-		if len(gotK) != len(gotRef) {
-			t.Errorf("seed %d: fired %d vs reference %d", seed, len(gotK), len(gotRef))
-			return false
-		}
-		for i := range gotK {
-			if gotK[i] != gotRef[i] {
-				t.Errorf("seed %d: firing %d diverges: kernel %+v, reference %+v",
-					seed, i, gotK[i], gotRef[i])
+	})
+	t.Run("reset", func(t *testing.T) {
+		f := func(seed int64) bool {
+			p := newReferencePair(seed)
+			p.load(150)
+			p.runUntil(t, 2*time.Millisecond)
+			if p.k.Pending() == 0 {
+				t.Errorf("seed %d: nothing pending at the reset", seed)
 				return false
 			}
+			p.k.Reset()
+			p.ref.reset()
+			p.load(150)
+			p.run(t)
+			return p.match(t, seed)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestPeekNext(t *testing.T) {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestCancelThenRescheduleSameInstant: canceling a timeout and immediately
@@ -66,6 +68,87 @@ func TestCompactionPreservesOrder(t *testing.T) {
 			t.Fatalf("firing order diverges at %d: got %d, want %d", i, got[i], want[i])
 		}
 	}
+}
+
+// TestCompactionToEmptyHeap cancels every resident event, exactly
+// compactMin of them, so the last cancel compacts the heap down to
+// nothing. The emptied kernel must then schedule and fire as usual, and
+// the canceled handles stay inert after their slots are reused.
+func TestCompactionToEmptyHeap(t *testing.T) {
+	k := New()
+	fired := 0
+	events := make([]Event, compactMin)
+	for i := range events {
+		events[i] = k.Schedule(time.Duration(i%3)*time.Millisecond, func() { fired++ })
+	}
+	for _, e := range events {
+		e.Cancel()
+	}
+	if k.Pending() != 0 || k.ncancel != 0 {
+		t.Fatalf("after canceling all: pending=%d ncancel=%d, want an empty compacted heap", k.Pending(), k.ncancel)
+	}
+	if _, ok := k.PeekNext(); ok {
+		t.Fatal("empty heap reports a next event")
+	}
+	var order []int
+	for i := 0; i < 3; i++ {
+		i := i
+		k.Schedule(time.Duration(2-i)*time.Millisecond, func() { order = append(order, i) })
+	}
+	for _, e := range events {
+		e.Cancel() // stale: must not cancel the slots' new occupants
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 0 || len(order) != 3 || order[0] != 2 || order[1] != 1 || order[2] != 0 {
+		t.Fatalf("fired %d canceled events, order %v; want 0 and [2 1 0]", fired, order)
+	}
+	if k.Elapsed() != 2*time.Millisecond {
+		t.Fatalf("clock at %v, want 2ms", k.Elapsed())
+	}
+}
+
+// TestHeapEntryHoldsNoPointer: the heap's element type must hold no
+// pointer, or the garbage collector scans the heap's backing array and
+// every sift store pays a write barrier. It must also stay two words.
+func TestHeapEntryHoldsNoPointer(t *testing.T) {
+	var k Kernel
+	elem := reflect.TypeOf(k.heap).Elem()
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
+			t.Errorf("%s is a %s: the heap element must be pointer-free", path, typ.Kind())
+		}
+	}
+	walk(elem.Name(), elem)
+	if size := unsafe.Sizeof(heapEntry{}); size != 16 {
+		t.Errorf("heap entry is %d bytes, want 16", size)
+	}
+}
+
+// TestSequenceBoundPanics: a heap entry packs seq above the slot index,
+// so a kernel that has used up its sequence space must panic rather than
+// wrap, which would reorder same-instant events.
+func TestSequenceBoundPanics(t *testing.T) {
+	k := New()
+	k.seq = maxSeq - 1
+	k.Schedule(0, func() {}) // the last sequence number still schedules
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling past the sequence bound did not panic")
+		}
+	}()
+	k.Schedule(0, func() {})
 }
 
 // TestResetRetainsCapacityNotState: a Reset kernel behaves like a fresh

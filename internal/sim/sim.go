@@ -20,7 +20,15 @@
 //     After warm-up, Schedule draws a slot from the free list and firing
 //     returns it, so a self-sustaining workload allocates nothing per event.
 //   - The priority queue is a binary heap over a plain slice with inlined
-//     sift-up/sift-down — no container/heap interface dispatch.
+//     sift-up/sift-down — no container/heap interface dispatch. The heap
+//     holds 16-byte values, the firing time and one word packing the
+//     sequence number above the slot index, with no pointer in them: a
+//     sift compares and moves plain words, with no GC write barrier and
+//     no dereference per compare, and the collector never scans the
+//     heap's backing array. Step looks its slot up once per pop.
+//   - Slots live in kernel-owned chunks of 32, addressed by index, so
+//     their addresses are stable for Event handles and a new slot costs
+//     no allocation of its own; the free list holds slot indexes.
 //   - Cancel marks an event and leaves it in the heap (lazy deletion). When
 //     canceled events outnumber live ones the heap is compacted in place.
 //     Because every event's (time, seq) key is unique, compaction cannot
@@ -54,12 +62,46 @@ var ErrEventLimit = errors.New("sim: event limit exceeded")
 // compaction is considered; below it the lazy pop-time discard is cheaper.
 const compactMin = 64
 
+// A heap entry packs an event's sequence number and its slot index into
+// one word, seq in the high bits, so ordering by that word is ordering by
+// seq. slotBits bounds the events a kernel holds pending at once (16M)
+// and leaves 40 bits of sequence numbers (1.1e12 schedules between
+// Resets); both bounds panic rather than wrap.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSlots = 1 << slotBits
+	maxSeq   = 1 << (64 - slotBits)
+)
+
+// chunkSlots is the number of slots allocated together. A chunk of 32
+// 72-byte slots fills a 2304-byte size class exactly, and keeps a
+// short-lived kernel's first allocation small.
+const chunkSlots = 32
+
+// heapEntry is one element of the kernel's event heap: the firing time and
+// the packed (seq, slot index) key. It holds no pointer, so the heap's
+// backing array is never scanned by the garbage collector and a sift
+// stores plain words, with no write barrier and no dereference per compare.
+type heapEntry struct {
+	at  int64 // virtual ns since the kernel epoch
+	key uint64
+}
+
+func (e heapEntry) slot() uint32 { return uint32(e.key & slotMask) }
+
+// less orders entries by (time, seq). Sequence numbers are unique, so this
+// is a strict total order.
+func (e heapEntry) less(o heapEntry) bool {
+	return e.at < o.at || (e.at == o.at && e.key < o.key)
+}
+
 // eventSlot is the kernel-internal storage for one scheduled callback.
-// Slots have stable addresses and are recycled through the kernel's free
-// list; gen increments on every recycle so stale Event handles go inert.
+// Slots live in kernel-owned chunks, so their addresses are stable, and
+// are recycled through the kernel's free list of slot indexes; gen
+// increments on every recycle so stale Event handles go inert.
 type eventSlot struct {
-	at       int64 // virtual ns since the kernel epoch
-	seq      uint64
+	at       int64 // virtual ns since the kernel epoch, for Event.Time
 	gen      uint64
 	canceled bool
 	k        *Kernel
@@ -71,6 +113,8 @@ type eventSlot struct {
 	// number of scheduling hops (always zero with tracing disabled).
 	span uint64
 }
+
+type slotChunk [chunkSlots]eventSlot
 
 // Event is a handle to a scheduled callback, returned by the scheduling
 // methods so callers can cancel it before it fires. It is a small value;
@@ -119,9 +163,10 @@ type Kernel struct {
 	epochOff int64 // epoch.Sub(Epoch), so Elapsed stays relative to Epoch
 	nowNs    int64 // virtual ns since epoch
 
-	heap     []*eventSlot
-	free     []*eventSlot
-	ncancel  int // canceled events still resident in heap
+	heap     []heapEntry
+	chunks   []*slotChunk // slot i is chunks[i/chunkSlots][i%chunkSlots]
+	free     []uint32     // indexes of unused slots
+	ncancel  int          // canceled events still resident in heap
 	seq      uint64
 	seed     int64
 	rng      *rand.Rand
@@ -179,8 +224,9 @@ func New(opts ...Option) *Kernel {
 // The event limit, epoch and step hook are construction-time wiring and
 // are kept.
 func (k *Kernel) Reset() {
-	for _, s := range k.heap {
-		k.recycle(s)
+	for _, e := range k.heap {
+		i := e.slot()
+		k.recycle(i, k.slot(i))
 	}
 	k.heap = k.heap[:0]
 	k.ncancel = 0
@@ -280,43 +326,66 @@ func (k *Kernel) scheduleNs(at int64, fn func(), argFn func(any), arg any) Event
 // at Post time (the destination tracer's context is unrelated by the
 // time staged messages land).
 func (k *Kernel) scheduleNsCtx(at int64, fn func(), argFn func(any), arg any, span uint64) Event {
-	s := k.newSlot()
+	if k.seq == maxSeq {
+		panic("sim: event sequence space exhausted")
+	}
+	i := k.newSlot()
+	s := k.slot(i)
 	s.at = at
-	s.seq = k.seq
 	s.fn = fn
 	s.argFn = argFn
 	s.arg = arg
 	s.span = span
+	k.heapPush(heapEntry{at: at, key: k.seq<<slotBits | uint64(i)})
 	k.seq++
-	k.heapPush(s)
 	return Event{slot: s, gen: s.gen}
 }
 
-func (k *Kernel) newSlot() *eventSlot {
-	if n := len(k.free); n > 0 {
-		s := k.free[n-1]
-		k.free[n-1] = nil
-		k.free = k.free[:n-1]
-		return s
-	}
-	return &eventSlot{k: k}
+// slot returns the slot with index i.
+func (k *Kernel) slot(i uint32) *eventSlot {
+	return &k.chunks[i/chunkSlots][i%chunkSlots]
 }
 
-// recycle invalidates every outstanding handle to s and returns it to the
-// free list. Callers account for ncancel themselves.
-func (k *Kernel) recycle(s *eventSlot) {
+// newSlot takes a slot index from the free list, adding a chunk of fresh
+// slots when it is empty.
+func (k *Kernel) newSlot() uint32 {
+	if len(k.free) == 0 {
+		base := len(k.chunks) * chunkSlots
+		if base+chunkSlots > maxSlots {
+			panic("sim: too many pending events")
+		}
+		c := new(slotChunk)
+		for j := range c {
+			c[j].k = k
+		}
+		k.chunks = append(k.chunks, c)
+		// Pushed high to low, so the chunk's slots are handed out in
+		// index order.
+		for j := base + chunkSlots - 1; j >= base; j-- {
+			k.free = append(k.free, uint32(j))
+		}
+	}
+	n := len(k.free) - 1
+	i := k.free[n]
+	k.free = k.free[:n]
+	return i
+}
+
+// recycle invalidates every outstanding handle to slot i, which is s, and
+// returns it to the free list. Callers account for ncancel themselves.
+func (k *Kernel) recycle(i uint32, s *eventSlot) {
 	s.gen++
 	s.canceled = false
 	s.fn = nil
 	s.argFn = nil
 	s.arg = nil
-	k.free = append(k.free, s)
+	k.free = append(k.free, i)
 }
 
 // noteCancel counts a cancellation and compacts the heap once canceled
 // events outnumber live ones. Compaction preserves firing order: (at, seq)
 // keys are globally unique, so rebuilding the heap from the surviving
-// slots yields the same pop sequence.
+// entries yields the same pop sequence.
 func (k *Kernel) noteCancel() {
 	k.ncancel++
 	if k.ncancel >= compactMin && k.ncancel*2 > len(k.heap) {
@@ -327,92 +396,85 @@ func (k *Kernel) noteCancel() {
 func (k *Kernel) compact() {
 	h := k.heap
 	n := 0
-	for _, s := range h {
-		if s.canceled {
-			k.recycle(s)
+	for _, e := range h {
+		if i, s := e.slot(), k.slot(e.slot()); s.canceled {
+			k.recycle(i, s)
 		} else {
-			h[n] = s
+			h[n] = e
 			n++
 		}
 	}
-	for i := n; i < len(h); i++ {
-		h[i] = nil
-	}
 	k.heap = h[:n]
 	for i := n/2 - 1; i >= 0; i-- {
-		k.siftDown(i)
+		k.siftDown(i, h[i])
 	}
 	k.ncancel = 0
 }
 
-// less orders slots by (time, seq). Sequence numbers are unique, so this
-// is a strict total order.
-func less(a, b *eventSlot) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-func (k *Kernel) heapPush(s *eventSlot) {
-	k.heap = append(k.heap, s)
+func (k *Kernel) heapPush(e heapEntry) {
+	k.heap = append(k.heap, e)
 	// Inlined sift-up.
 	h := k.heap
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if less(h[parent], s) {
+		if h[parent].less(e) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = s
+	h[i] = e
 }
 
-func (k *Kernel) heapPop() *eventSlot {
+// heapPop removes and returns the earliest entry. The heap must not be
+// empty.
+func (k *Kernel) heapPop() heapEntry {
 	h := k.heap
 	n := len(h) - 1
 	top := h[0]
-	h[0] = h[n]
-	h[n] = nil
 	k.heap = h[:n]
-	if n > 1 {
-		k.siftDown(0)
+	if n > 0 {
+		k.siftDown(0, h[n])
 	}
 	return top
 }
 
-func (k *Kernel) siftDown(i int) {
+// siftDown places e in the heap starting from the hole at index i.
+func (k *Kernel) siftDown(i int, e heapEntry) {
 	h := k.heap
 	n := len(h)
-	s := h[i]
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
 		c := h[child]
-		if r := child + 1; r < n && less(h[r], c) {
+		if r := child + 1; r < n && h[r].less(c) {
 			child, c = r, h[r]
 		}
-		if less(s, c) {
+		if e.less(c) {
 			break
 		}
 		h[i] = c
 		i = child
 	}
-	h[i] = s
+	h[i] = e
 }
 
 // Step executes the single next event. It returns false when the queue
 // holds no runnable events.
 func (k *Kernel) Step() bool {
 	for len(k.heap) > 0 {
-		s := k.heapPop()
+		e := k.heapPop()
+		i := e.slot()
+		s := k.slot(i)
 		if s.canceled {
 			k.ncancel--
-			k.recycle(s)
+			k.recycle(i, s)
 			continue
 		}
-		k.nowNs = s.at
+		k.nowNs = e.at
 		k.executed++
 		fn, argFn, arg := s.fn, s.argFn, s.arg
 		if k.tracer != nil {
@@ -421,7 +483,7 @@ func (k *Kernel) Step() bool {
 		// Recycle before running so a self-rescheduling callback reuses
 		// this slot; the handle we return from Schedule is already stale
 		// by the time its callback runs, exactly as before.
-		k.recycle(s)
+		k.recycle(i, s)
 		if argFn != nil {
 			argFn(arg)
 		} else {
@@ -489,13 +551,15 @@ func (k *Kernel) PeekNext() (time.Time, bool) {
 // discarding canceled events encountered at the top of the heap.
 func (k *Kernel) nextNs() (int64, bool) {
 	for len(k.heap) > 0 {
-		s := k.heap[0]
+		e := k.heap[0]
+		i := e.slot()
+		s := k.slot(i)
 		if !s.canceled {
-			return s.at, true
+			return e.at, true
 		}
 		k.heapPop()
 		k.ncancel--
-		k.recycle(s)
+		k.recycle(i, s)
 	}
 	return 0, false
 }
