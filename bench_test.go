@@ -426,7 +426,7 @@ func BenchmarkLinkFrameDelivery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Send(link.EndA, frame)
+		l.Send(link.EndA, link.NewFrame(frame))
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -435,17 +435,18 @@ func BenchmarkLinkFrameDelivery(b *testing.B) {
 
 // --- Allocation-gated hot-path benchmarks (CI enforces 0 allocs/op) ------
 
-// frameSink is a link attachment that only counts deliveries.
+// frameSink is a link attachment that counts deliveries and, as every
+// frame's last owner, releases them.
 type frameSink struct{ frames int }
 
-func (f *frameSink) ReceiveFrame([]byte) { f.frames++ }
-func (f *frameSink) CarrierChange(bool)  {}
+func (s *frameSink) ReceiveFrame(f *link.Frame) { s.frames++; f.Release() }
+func (s *frameSink) CarrierChange(bool)         {}
 
 // BenchmarkSwitchHop measures one forwarding hop: a UDP frame arrives on
 // a switch port, matches a destination-MAC rule and leaves over a second
 // link to a peer. Links take ownership of wire frames instead of copying
-// them and the delivery structs are pooled per link, so a hop must run
-// allocation-free.
+// them, frames come from the link package's pool and the delivery
+// structs are pooled per link, so a hop must run allocation-free.
 func BenchmarkSwitchHop(b *testing.B) {
 	k := sim.New(sim.WithEventLimit(^uint64(0)))
 	in := link.NewLink(k, sim.Const(time.Microsecond))
@@ -469,7 +470,7 @@ func BenchmarkSwitchHop(b *testing.B) {
 	frame := (&packet.Ethernet{Dst: dst, Src: packet.MustMAC("aa:aa:aa:aa:aa:aa"),
 		Type: packet.EtherTypeIPv4, Payload: ip.Marshal()}).Marshal()
 	hop := func() {
-		in.Send(link.EndA, frame)
+		in.Send(link.EndA, link.NewFrame(frame))
 		if err := k.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -486,10 +487,61 @@ func BenchmarkSwitchHop(b *testing.B) {
 	}
 }
 
+// BenchmarkHostToHost measures a full frame trip: a host sends a UDP
+// datagram with a 1,400-byte payload, the size of a link-saturation
+// flood packet, through one switch hop to a second host, which observes
+// it with an OnFrame tap. The sender copies the frame into a pooled wire
+// frame, the switch forwards that frame itself and the receiver releases
+// it back to the pool, so the trip must run allocation-free.
+func BenchmarkHostToHost(b *testing.B) {
+	k := sim.New(sim.WithEventLimit(^uint64(0)))
+	in := link.NewLink(k, sim.Const(time.Microsecond))
+	out := link.NewLink(k, sim.Const(time.Microsecond))
+	sw := dataplane.NewSwitch(k, 1)
+	sw.Shutdown() // no flow-expiry ticker: k.Run drains after each trip
+	sw.AddPort(1, in, link.EndB, nil)
+	sw.AddPort(2, out, link.EndA, nil)
+	srcMAC, dstMAC := packet.MustMAC("aa:aa:aa:aa:aa:aa"), packet.MustMAC("bb:bb:bb:bb:bb:bb")
+	dstIP := packet.MustIPv4("10.0.0.2")
+	src := dataplane.NewHost(k, "src", srcMAC, packet.MustIPv4("10.0.0.1"), in, link.EndA)
+	dst := dataplane.NewHost(k, "dst", dstMAC, dstIP, out, link.EndB)
+	tapped := 0
+	dst.OnFrame = func(eth *packet.Ethernet, raw []byte) bool {
+		if eth.Type == packet.EtherTypeIPv4 {
+			tapped++
+		}
+		return false
+	}
+	sw.Table().Apply(&openflow.FlowMod{
+		Command:  openflow.FlowAdd,
+		Match:    openflow.Match{Wildcards: openflow.WildAll &^ openflow.WildEthDst, Fields: openflow.Fields{EthDst: dstMAC}},
+		Priority: 10,
+		Actions:  []openflow.Action{openflow.Output(2)},
+	}, k.Now())
+	payload := make([]byte, 1400)
+	trip := func() {
+		src.SendUDP(dstMAC, dstIP, 5000, 9, payload)
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	trip() // warm the transmit scratch, the frame pool and the free lists
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trip()
+	}
+	b.StopTimer()
+	if tapped != b.N+1 {
+		b.Fatalf("receiver tapped %d of %d frames", tapped, b.N+1)
+	}
+}
+
 // BenchmarkHostReceive measures a host's receive path for one UDP frame
 // addressed to it: decode, an observing OnFrame tap, the IPv4 handler and
-// OnDeliver. The host decodes into its own receive scratch, so the header
-// handed to the hooks must not escape and the path runs allocation-free.
+// OnDeliver, then the release of the pooled wire frame. The host decodes
+// into its own receive scratch, so the header handed to the hooks must
+// not escape and the path runs allocation-free.
 func BenchmarkHostReceive(b *testing.B) {
 	k := sim.New()
 	l := link.NewLink(k, sim.Const(time.Microsecond))
@@ -513,7 +565,7 @@ func BenchmarkHostReceive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.ReceiveFrame(frame)
+		h.ReceiveFrame(link.NewFrame(frame))
 	}
 	b.StopTimer()
 	if tapped != b.N || delivered != b.N {
@@ -652,9 +704,9 @@ func BenchmarkShardGroupSparse(b *testing.B) {
 // BenchmarkTrafficBurst measures the traffic engine's per-packet
 // overhead: flow admission, batched pump events and frame construction
 // into the host's reused transmit buffer. The wire's carrier is down, so
-// the host drops each frame before making its one wire copy (that copy
-// is the cost of putting a frame on a link, benchmarked elsewhere) —
-// everything the engine itself does per packet must be allocation-free:
+// the host drops each frame before copying it into a pooled wire frame
+// (BenchmarkHostToHost measures that copy and the trip across a switch).
+// Everything the engine itself does per packet must be allocation-free:
 // package-level event functions recycle kernel slots, payloads are
 // pooled, and flow state is two integers.
 func BenchmarkTrafficBurst(b *testing.B) {

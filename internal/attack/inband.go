@@ -122,15 +122,16 @@ func (f *InBandFabrication) hook(self, peer *inbandAgent) func(*packet.Ethernet,
 		case eth.Type == packet.EtherTypeLLDP:
 			// Captured probe: tunnel it to the peer, at most once per
 			// relay interval. Sending host traffic requires a non-SWITCH
-			// profile. raw is an immutable wire frame, so the relay can
-			// hold it until then without a copy.
+			// profile. raw is valid only during this call, so the relay
+			// holds a copy until then.
 			if !self.lastRelay.IsZero() && f.kernel.Now().Sub(self.lastRelay) < f.relayInterval {
 				return true // swallow, but skip this round
 			}
 			self.lastRelay = f.kernel.Now()
+			probe := append([]byte(nil), raw...)
 			self.enqueue(func(done func()) {
 				self.ensure(func(p portProfile) bool { return p != profileSwitch }, func() {
-					self.host.SendUDP(peer.host.MAC(), peer.host.IP(), EncapPort, EncapPort, raw)
+					self.host.SendUDP(peer.host.MAC(), peer.host.IP(), EncapPort, EncapPort, probe)
 					self.profile = profileHost
 					done()
 				})
@@ -139,7 +140,8 @@ func (f *InBandFabrication) hook(self, peer *inbandAgent) func(*packet.Ethernet,
 		case isEncap(eth, self.host):
 			// Tunneled LLDP from the peer: re-emit it raw. Emitting LLDP
 			// from a HOST-profiled port would raise an alert, so the
-			// profile must be reset first.
+			// profile must be reset first; encapPayload copies the probe
+			// out of the wire frame for the wait.
 			lldpBytes := encapPayload(eth)
 			self.enqueue(func(done func()) {
 				self.ensure(func(p portProfile) bool { return p != profileHost }, func() {
@@ -163,22 +165,24 @@ func isEncap(eth *packet.Ethernet, self *dataplane.Host) bool {
 	if eth.Type != packet.EtherTypeIPv4 || eth.Dst != self.MAC() {
 		return false
 	}
-	ip, err := packet.UnmarshalIPv4(eth.Payload)
+	ip, err := packet.DecodeIPv4(eth.Payload)
 	if err != nil || ip.Protocol != packet.ProtoUDP {
 		return false
 	}
-	u, err := packet.UnmarshalUDP(ip.Payload)
+	u, err := packet.DecodeUDP(ip.Payload)
 	return err == nil && u.DstPort == EncapPort
 }
 
+// encapPayload returns a copy of the tunneled frame, which outlives the
+// delivered wire frame it arrived in.
 func encapPayload(eth *packet.Ethernet) []byte {
-	ip, err := packet.UnmarshalIPv4(eth.Payload)
+	ip, err := packet.DecodeIPv4(eth.Payload)
 	if err != nil {
 		return nil
 	}
-	u, err := packet.UnmarshalUDP(ip.Payload)
+	u, err := packet.DecodeUDP(ip.Payload)
 	if err != nil {
 		return nil
 	}
-	return u.Payload
+	return append([]byte(nil), u.Payload...)
 }

@@ -63,19 +63,7 @@ func TestEvictOneLinkAllocatesOnce(t *testing.T) {
 // link.Channel.Send copies every message at ingress, and every decoder
 // downstream works in place on that copy.
 func TestLLDPRoundTripAllocations(t *testing.T) {
-	k := sim.New()
-	c := New(k)
-	t.Cleanup(c.Shutdown)
-	trunk := link.NewLink(k, sim.Const(time.Millisecond))
-	for i, dpid := range []uint64{1, 2} {
-		sw := dataplane.NewSwitch(k, dpid)
-		sw.AddPort(1, trunk, [2]link.End{link.EndA, link.EndB}[i], nil)
-		ch := link.NewChannel(k, sim.Const(time.Millisecond))
-		sw.SetControlSender(func(b []byte) { ch.Send(link.EndA, b) })
-		ch.OnReceive(link.EndA, sw.HandleControl)
-		conn := c.Connect(func(b []byte) { ch.Send(link.EndB, b) })
-		ch.OnReceive(link.EndB, conn.Handle)
-	}
+	k, c := twoSwitchTrunk(t)
 	if err := k.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -96,5 +84,63 @@ func TestLLDPRoundTripAllocations(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Errorf("one LLDP round trip allocates %v objects, want at most 2 (the two Channel.Send copies)", allocs)
+	}
+}
+
+// twoSwitchTrunk connects a controller to two switches joined by a
+// trunk on port 1 of each.
+func twoSwitchTrunk(t *testing.T) (*sim.Kernel, *Controller) {
+	t.Helper()
+	k := sim.New()
+	c := New(k)
+	t.Cleanup(c.Shutdown)
+	trunk := link.NewLink(k, sim.Const(time.Millisecond))
+	for i, dpid := range []uint64{1, 2} {
+		sw := dataplane.NewSwitch(k, dpid)
+		t.Cleanup(sw.Shutdown)
+		sw.AddPort(1, trunk, [2]link.End{link.EndA, link.EndB}[i], nil)
+		ch := link.NewChannel(k, sim.Const(time.Millisecond))
+		sw.SetControlSender(func(b []byte) { ch.Send(link.EndA, b) })
+		ch.OnReceive(link.EndA, sw.HandleControl)
+		conn := c.Connect(func(b []byte) { ch.Send(link.EndB, b) })
+		ch.OnReceive(link.EndB, conn.Handle)
+	}
+	return k, c
+}
+
+// TestControlRTTProbeAllocations drives one control-RTT probe — the
+// PacketOut carrying the marker frame, the switch bouncing it back as a
+// PacketIn, and the controller resolving it — and pins its allocations
+// at the two control-channel copies, as for an LLDP round trip: the
+// marker frame is built in controller scratch, the pending record is
+// recycled and the timeout is scheduled closure-free. TopoGuard+'s LLI
+// sends one such probe per switch every 2 s.
+func TestControlRTTProbeAllocations(t *testing.T) {
+	k, c := twoSwitchTrunk(t)
+	if err := k.RunFor(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	resolved := 0
+	cb := func(rtt time.Duration, ok bool) {
+		if ok && rtt > 0 {
+			resolved++
+		}
+	}
+	probe := func() {
+		c.MeasureControlRTT(1, time.Second, cb)
+		if err := k.RunFor(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe() // warm the scratch buffers and the record free list
+	allocs := testing.AllocsPerRun(50, probe)
+	if resolved != 52 {
+		t.Fatalf("%d of 52 probes resolved", resolved)
+	}
+	if n := c.PendingProbes().PathProbes; n != 0 {
+		t.Fatalf("%d probes left pending", n)
+	}
+	if allocs > 2 {
+		t.Errorf("one control-RTT probe allocates %v objects, want at most 2 (the two Channel.Send copies)", allocs)
 	}
 }

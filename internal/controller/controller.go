@@ -113,10 +113,13 @@ type Controller struct {
 	// (trunks) for sOFTDP's BFD sessions; see RegisterPathAnchor.
 	pathAnchors map[pathKey]bool
 
-	// lldpBuf is the discovery scratch buffer: each probe's Ethernet+LLDP
-	// frame is built into it in place and copied out by the PacketOut
-	// marshal, so a discovery round allocates nothing per port.
-	lldpBuf []byte
+	// frameBuf is the probe-frame scratch buffer: each LLDP probe's
+	// Ethernet+LLDP frame and each control-RTT probe's marker frame is
+	// built into it in place and copied out by the PacketOut marshal, so
+	// a discovery round allocates nothing per port.
+	frameBuf []byte
+	// freePathProbes recycles control-RTT probe records.
+	freePathProbes []*pendingPathProbe
 	// portScratch backs sortedPortsInto so per-switch port iteration on
 	// the discovery and flood paths does not allocate per round.
 	portScratch []uint32

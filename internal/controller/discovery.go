@@ -71,11 +71,11 @@ func (c *Controller) emitLLDP(dpid uint64, port uint32) {
 	for _, o := range c.lldpObservers {
 		o.ObserveLLDPSend(&c.lldpSendEv)
 	}
-	c.lldpBuf = packet.AppendEthernetHeader(c.lldpBuf[:0], lldp.MulticastMAC, switchPortMAC(dpid, port), packet.EtherTypeLLDP)
-	c.lldpBuf = frame.AppendTo(c.lldpBuf)
+	c.frameBuf = packet.AppendEthernetHeader(c.frameBuf[:0], lldp.MulticastMAC, switchPortMAC(dpid, port), packet.EtherTypeLLDP)
+	c.frameBuf = frame.AppendTo(c.frameBuf)
 	c.m.discProbes.Inc()
-	c.m.discBytes.Add(uint64(len(c.lldpBuf)))
-	c.sendPacketOutTo(dpid, openflow.PortNone, port, c.lldpBuf)
+	c.m.discBytes.Add(uint64(len(c.frameBuf)))
+	c.sendPacketOutTo(dpid, openflow.PortNone, port, c.frameBuf)
 	if tr != nil {
 		tr.SetCurrent(prev)
 	}

@@ -53,7 +53,12 @@ func (c *Controller) resolveEcho(xid uint32) {
 	p.cb(c.kernel.Now().Sub(p.sent), true)
 }
 
+// pendingPathProbe is one control-RTT probe in flight. Records are
+// recycled through the controller's free list, and the timeout is
+// scheduled closure-free, so a probe allocates nothing once warm.
 type pendingPathProbe struct {
+	c       *Controller
+	nonce   uint64
 	dpid    uint64
 	sent    time.Time
 	timeout sim.Event
@@ -71,22 +76,35 @@ func (c *Controller) MeasureControlRTT(dpid uint64, timeout time.Duration, cb fu
 		return
 	}
 	c.probeNonce++
-	nonce := c.probeNonce
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, nonce)
-	frame := &packet.Ethernet{
-		Dst:     pathProbeMAC,
-		Src:     pathProbeMAC,
-		Type:    pathProbeEtherType,
-		Payload: payload,
+	var p *pendingPathProbe
+	if n := len(c.freePathProbes); n > 0 {
+		p = c.freePathProbes[n-1]
+		c.freePathProbes = c.freePathProbes[:n-1]
+	} else {
+		p = &pendingPathProbe{c: c}
 	}
-	p := &pendingPathProbe{dpid: dpid, sent: c.kernel.Now(), cb: cb}
-	p.timeout = c.kernel.Schedule(timeout, func() {
-		delete(c.pendingPathProbes, nonce)
-		cb(0, false)
-	})
-	c.pendingPathProbes[nonce] = p
-	c.sendPacketOutTo(dpid, openflow.PortNone, openflow.PortController, frame.Marshal())
+	p.nonce, p.dpid, p.sent, p.cb = c.probeNonce, dpid, c.kernel.Now(), cb
+	p.timeout = c.kernel.ScheduleArg(timeout, pathProbeTimeout, p)
+	c.pendingPathProbes[p.nonce] = p
+	c.frameBuf = packet.AppendEthernetHeader(c.frameBuf[:0], pathProbeMAC, pathProbeMAC, pathProbeEtherType)
+	c.frameBuf = binary.BigEndian.AppendUint64(c.frameBuf, p.nonce)
+	c.sendPacketOutTo(dpid, openflow.PortNone, openflow.PortController, c.frameBuf)
+}
+
+// pathProbeTimeout fails a control-RTT probe whose frame never returned.
+func pathProbeTimeout(arg any) {
+	p := arg.(*pendingPathProbe)
+	delete(p.c.pendingPathProbes, p.nonce)
+	p.c.finishPathProbe(p, 0, false)
+}
+
+// finishPathProbe recycles a probe record that has left the pending
+// table, then reports the outcome.
+func (c *Controller) finishPathProbe(p *pendingPathProbe, rtt time.Duration, ok bool) {
+	cb := p.cb
+	p.cb = nil
+	c.freePathProbes = append(c.freePathProbes, p)
+	cb(rtt, ok)
 }
 
 // resolvePathProbe completes the control-RTT probe whose returning
@@ -102,7 +120,7 @@ func (c *Controller) resolvePathProbe(payload []byte) {
 	}
 	delete(c.pendingPathProbes, nonce)
 	p.timeout.Cancel()
-	p.cb(c.kernel.Now().Sub(p.sent), true)
+	c.finishPathProbe(p, c.kernel.Now().Sub(p.sent), true)
 }
 
 type pendingHostProbe struct {
@@ -293,7 +311,7 @@ func (c *Controller) failPendingProbes(dpid uint64) {
 		delete(c.pendingPathProbes, nonce)
 		p.timeout.Cancel()
 		c.m.probesFailed.Inc()
-		p.cb(0, false)
+		c.finishPathProbe(p, 0, false)
 	}
 
 	ids := make([]uint16, 0, len(c.pendingHostProbes))

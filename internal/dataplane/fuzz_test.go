@@ -22,7 +22,7 @@ func TestHostReceiveNeverPanics(t *testing.T) {
 				t.Errorf("panic on %x: %v", data, r)
 			}
 		}()
-		h.ReceiveFrame(data)
+		h.ReceiveFrame(link.NewFrame(data))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
@@ -74,7 +74,7 @@ func TestSwitchDataplaneNeverPanics(t *testing.T) {
 				t.Errorf("panic on %x: %v", data, r)
 			}
 		}()
-		port.ReceiveFrame(data)
+		port.ReceiveFrame(link.NewFrame(data))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {

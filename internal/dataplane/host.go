@@ -71,16 +71,17 @@ type Host struct {
 	// OnFrame, when set, sees every received frame first; returning true
 	// consumes the frame. Attack automata use it to capture LLDP.
 	//
-	// The header passed to OnFrame and OnDeliver is the host's receive
-	// scratch, valid only during the call: the next delivered frame
-	// overwrites it. A hook that keeps anything keeps raw or a copy of the
-	// header; raw and eth.Payload alias the immutable wire frame (see
-	// package link) and may be retained. Links deliver only from the event
-	// loop, never from inside a hook, so the scratch is not reused while a
-	// hook runs.
+	// Everything passed to OnFrame and OnDeliver is valid only during the
+	// call. The header is the host's receive scratch, which the next
+	// delivered frame overwrites; raw and eth.Payload alias the wire
+	// frame, which the host releases to the frame pool once its hooks and
+	// responders return (see package link). A hook that keeps anything
+	// copies it. Links deliver only from the event loop, never from
+	// inside a hook, so neither is reused while a hook runs.
 	OnFrame func(eth *packet.Ethernet, raw []byte) bool
 	// OnDeliver, when set, receives frames addressed to this host that
-	// the built-in responders did not consume.
+	// the built-in responders did not consume, under OnFrame's validity
+	// rule.
 	OnDeliver func(eth *packet.Ethernet)
 	// Promiscuous delivers frames regardless of destination MAC.
 	Promiscuous bool
@@ -95,7 +96,7 @@ type Host struct {
 	// txBuf is the transmit scratch buffer: locally originated frames are
 	// built into it layer by layer (Ethernet header, IPv4 header, L4
 	// payload, IPv4 backpatch) with no intermediate per-layer buffers.
-	// Safe because SendRaw clones the frame before it goes on the wire.
+	// Safe because SendRaw copies the frame before it goes on the wire.
 	txBuf []byte
 
 	ipid        uint16
@@ -200,10 +201,9 @@ func (h *Host) sendIPv4(ip *packet.IPv4, appendPayload func([]byte) []byte) {
 }
 
 // SendRaw transmits raw frame bytes if the interface is up. Attacks use
-// it to re-inject captured LLDP bytes unmodified. SendRaw makes the
-// frame's one wire copy: links take ownership of what they are sent and
-// switches forward it unchanged (see package link), so the caller may
-// reuse data as soon as SendRaw returns.
+// it to re-inject captured LLDP bytes unmodified. SendRaw copies data
+// into a pooled wire frame that the link takes ownership of (see package
+// link), so the caller may reuse data as soon as SendRaw returns.
 func (h *Host) SendRaw(data []byte) {
 	if !h.up {
 		return
@@ -212,16 +212,20 @@ func (h *Host) SendRaw(data []byte) {
 	if !h.ep.CarrierUp() || !h.ep.PeerCarrierUp() {
 		return // the link drops it at send; copy nothing
 	}
-	frame := make([]byte, len(data))
-	copy(frame, data)
-	h.ep.Send(frame)
+	h.ep.Send(link.NewFrame(data))
 }
 
 // CarrierChange implements link.Attachment. Hosts ignore peer carrier.
 func (h *Host) CarrierChange(bool) {}
 
-// ReceiveFrame implements link.Attachment.
-func (h *Host) ReceiveFrame(data []byte) {
+// ReceiveFrame implements link.Attachment. The host is the frame's last
+// owner: it releases f once its hooks and responders return.
+func (h *Host) ReceiveFrame(f *link.Frame) {
+	h.receive(f.Data)
+	f.Release()
+}
+
+func (h *Host) receive(data []byte) {
 	if !h.up {
 		return
 	}
@@ -275,10 +279,10 @@ func (h *Host) handleARP(eth *packet.Ethernet) {
 	}
 }
 
-// handleIPv4 and the L4 handlers below decode in place: the delivered
-// buffer is an immutable wire frame (see package link) that nothing
-// writes, and the decoded headers never outlive the call. Only eth is
-// handed onward; its Payload aliases the wire frame.
+// handleIPv4 and the L4 handlers below decode in place: the host owns
+// the delivered wire frame until ReceiveFrame returns, and the decoded
+// headers never outlive the call. Only eth is handed onward; its Payload
+// aliases the wire frame.
 func (h *Host) handleIPv4(eth *packet.Ethernet) {
 	ip, err := packet.DecodeIPv4(eth.Payload)
 	if err != nil {

@@ -225,7 +225,7 @@ func TestOnFrameHookConsumes(t *testing.T) {
 	var captured [][]byte
 	b.OnFrame = func(eth *packet.Ethernet, raw []byte) bool {
 		if eth.Type == packet.EtherTypeARP {
-			captured = append(captured, raw)
+			captured = append(captured, append([]byte(nil), raw...))
 			return true // swallow: the responder must not reply
 		}
 		return false
@@ -243,16 +243,16 @@ func TestOnFrameHookConsumes(t *testing.T) {
 	}
 }
 
-// TestHostSendRawCopiesScratch pins where the one wire copy of a frame
-// lives: links take ownership of what they are sent, so the host must
-// clone its reused transmit buffer. Frame B is built into the same
-// buffer as frame A while A is still in flight; the peer must receive
-// both intact.
+// TestHostSendRawCopiesScratch pins where a host's wire copy of a frame
+// is made: links take ownership of what they are sent, so the host must
+// copy its reused transmit buffer into a pooled frame. Frame B is built
+// into the same buffer as frame A while A is still in flight; the peer
+// must receive both intact.
 func TestHostSendRawCopiesScratch(t *testing.T) {
 	k, a, b := hostPair(t)
 	var got [][]byte
 	b.OnFrame = func(_ *packet.Ethernet, raw []byte) bool {
-		got = append(got, raw)
+		got = append(got, append([]byte(nil), raw...)) // raw is valid only during the call
 		return true
 	}
 	a.SendUDP(b.MAC(), b.IP(), 1000, 2000, []byte("frame A"))

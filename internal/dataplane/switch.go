@@ -82,20 +82,22 @@ func (p *Port) No() uint32 { return p.no }
 // Up reports the switch's view of link state.
 func (p *Port) Up() bool { return p.up }
 
-// ReceiveFrame implements link.Attachment.
-func (p *Port) ReceiveFrame(data []byte) {
+// ReceiveFrame implements link.Attachment. The switch owns f from here:
+// it forwards, punts or drops it (see Switch.handleFrame).
+func (p *Port) ReceiveFrame(f *link.Frame) {
 	if !p.up {
 		p.mDropRx.Inc()
-		p.mDropRxBytes.Add(uint64(len(data)))
+		p.mDropRxBytes.Add(uint64(len(f.Data)))
+		f.Release()
 		return
 	}
 	p.rxPackets++
 	p.mRx.Inc()
-	p.mRxBytes.Add(uint64(len(data)))
+	p.mRxBytes.Add(uint64(len(f.Data)))
 	if p.sw.tracer != nil {
 		p.traceFrame("port.rx", 0, p.rxPackets)
 	}
-	p.sw.handleFrame(p, data)
+	p.sw.handleFrame(p, f)
 }
 
 // traceFrame marks a frame's transit through this port when it belongs
@@ -149,23 +151,22 @@ func (p *Port) CarrierChange(up bool) {
 	}
 }
 
-// send forwards data out of the port without copying it. data is either
-// the immutable frame the ingress link delivered or a PacketOut body,
-// which aliases the control message the switch owns; a flood hands the
-// same bytes to every egress link (see package link).
-func (p *Port) send(data []byte) {
+// send forwards f out of the port without copying it, handing its
+// ownership to the link; a port that is down releases it.
+func (p *Port) send(f *link.Frame) {
 	if !p.up {
 		p.mDropTx.Inc()
-		p.mDropTxBytes.Add(uint64(len(data)))
+		p.mDropTxBytes.Add(uint64(len(f.Data)))
+		f.Release()
 		return
 	}
 	p.txPackets++
 	p.mTx.Inc()
-	p.mTxBytes.Add(uint64(len(data)))
+	p.mTxBytes.Add(uint64(len(f.Data)))
 	if p.sw.tracer != nil {
 		p.traceFrame("port.tx", 1, p.txPackets)
 	}
-	p.ep.Send(data)
+	p.ep.Send(f)
 }
 
 // Switch is an OpenFlow switch: ports, a flow table, and a control
@@ -318,52 +319,78 @@ func (s *Switch) sendPacketIn(inPort uint32, reason uint8, data []byte) {
 	s.packetIn.Data = nil
 }
 
-// handleFrame processes a dataplane frame arriving on port in.
-func (s *Switch) handleFrame(in *Port, data []byte) {
-	fields := openflow.ExtractFields(in.no, data)
+// handleFrame processes a dataplane frame arriving on port in, and
+// consumes it. A table miss punts the frame to the controller, whose
+// PacketIn marshal copies it, and then releases it.
+func (s *Switch) handleFrame(in *Port, f *link.Frame) {
+	fields := openflow.ExtractFields(in.no, f.Data)
 	entry := s.table.Lookup(fields)
 	if entry == nil {
-		s.sendPacketIn(in.no, openflow.ReasonNoMatch, data)
+		s.sendPacketIn(in.no, openflow.ReasonNoMatch, f.Data)
+		f.Release()
 		return
 	}
-	entry.Hit(len(data), s.kernel.Now())
-	s.execute(entry.Actions, in.no, data)
+	entry.Hit(len(f.Data), s.kernel.Now())
+	s.execute(entry.Actions, in.no, f)
 }
 
-// execute runs an action list on a frame that entered via inPort (or
-// openflow.PortNone for controller-originated packets).
-func (s *Switch) execute(actions []openflow.Action, inPort uint32, data []byte) {
+// execute runs an action list on frame f, which entered via inPort (or
+// openflow.PortNone for controller-originated packets), and consumes f.
+// Each frame on the wire has one owner, so a frame bound for n egresses
+// goes out as pooled copies on the first n-1 and as f itself on the
+// last. Each egress is sent once the next action is known, which keeps
+// every send and PacketIn in action order; an egress followed by a
+// PacketIn gets a copy, because the PacketIn still reads f. f is
+// released if no egress takes it.
+func (s *Switch) execute(actions []openflow.Action, inPort uint32, f *link.Frame) {
+	var last *Port // the latest egress, not yet sent
 	for _, a := range actions {
 		switch a.Port {
 		case openflow.PortController:
-			s.sendPacketIn(inPort, openflow.ReasonAction, data)
+			last = s.forward(last, nil, f)
+			s.sendPacketIn(inPort, openflow.ReasonAction, f.Data)
 		case openflow.PortFlood:
 			for _, no := range s.order {
 				if no != inPort {
-					s.ports[no].send(data)
+					last = s.forward(last, s.ports[no], f)
 				}
 			}
 		case openflow.PortAll:
 			for _, no := range s.order {
-				s.ports[no].send(data)
+				last = s.forward(last, s.ports[no], f)
 			}
 		case openflow.PortInPort:
 			if p := s.ports[inPort]; p != nil {
-				p.send(data)
+				last = s.forward(last, p, f)
 			}
 		default:
 			if p := s.ports[a.Port]; p != nil {
-				p.send(data)
+				last = s.forward(last, p, f)
 			}
 		}
 	}
+	if last != nil {
+		last.send(f)
+	} else {
+		f.Release()
+	}
+}
+
+// forward sends a pooled copy of f out of the pending egress, if any,
+// and returns next as the new pending one.
+func (s *Switch) forward(pending, next *Port, f *link.Frame) *Port {
+	if pending != nil {
+		pending.send(link.NewFrame(f.Data))
+	}
+	return next
 }
 
 // HandleControl processes one OpenFlow message arriving from the
 // controller. Malformed messages are dropped, as a real agent drops
 // undecodable control traffic. The switch takes ownership of data: it is
-// decoded in place, and a PacketOut body goes onto the dataplane as is,
-// so the caller must never write data again.
+// decoded in place, so the caller must never write data again. A
+// PacketOut body is copied into a pooled wire frame, so the dataplane
+// never aliases the control message.
 func (s *Switch) HandleControl(data []byte) {
 	xid, m, err := s.dec.Decode(data)
 	if err != nil {
@@ -380,7 +407,7 @@ func (s *Switch) HandleControl(data []byte) {
 			s.sendMarshaled(xid, &openflow.EchoReply{Data: msg.Data})
 		}
 	case *openflow.PacketOut:
-		s.execute(msg.Actions, msg.InPort, msg.Data)
+		s.execute(msg.Actions, msg.InPort, link.NewFrame(msg.Data))
 	case *openflow.FlowMod:
 		s.table.Apply(msg, s.kernel.Now())
 	case *openflow.BarrierRequest:

@@ -17,13 +17,13 @@ import (
 // Attachment is anything that terminates a dataplane link: a switch port
 // or a host NIC.
 type Attachment interface {
-	// ReceiveFrame delivers a raw Ethernet frame that finished traversing
-	// the link. It is never called while the peer's carrier is down at
-	// send time. data is an immutable wire frame: it may be shared with
-	// other receivers (a flooded frame reaches every egress link as the
-	// same bytes), so the receiver may retain or forward it but must
-	// never write into it.
-	ReceiveFrame(data []byte)
+	// ReceiveFrame delivers a wire frame that finished traversing the
+	// link. It is never called while the peer's carrier is down at send
+	// time. The receiver becomes the frame's one owner: it must either
+	// hand f on (to Link.Send) or Release it, and must not touch f.Data
+	// afterwards. A receiver that wants bytes beyond that point copies
+	// them.
+	ReceiveFrame(f *Frame)
 	// CarrierChange signals that the peer's transceiver went up or down.
 	// The physical signal loss is instantaneous; any detection latency
 	// (e.g. 802.3 link-pulse timing) is applied by the receiver.
@@ -46,19 +46,22 @@ func (e End) other() End {
 	return EndA
 }
 
-// Buffer ownership contract. Link.Send takes ownership of the frame it
-// is given and never copies it: dataplane frames are immutable once on
-// the wire. The one copy happens where a frame is built — the sending
-// host clones its scratch buffer (dataplane.Host.SendRaw) — and from then
-// on every switch that forwards the frame hands the same bytes onward,
-// to one egress or, when flooding, to several. Receivers may therefore
-// share a delivered slice with other receivers; they may retain it
-// indefinitely (attack taps and PacketIn bodies do) but must never write
-// into it. Channel.Send keeps copy-at-ingress: control-plane senders
-// marshal into reused scratch buffers, so the channel copies the message
-// when it is sent and the receiver owns the delivered copy outright.
-// Only the in-flight delivery bookkeeping structs are recycled, through
-// per-link free lists (links are single-kernel, so no locking).
+// Buffer ownership contract. Every dataplane wire frame is a *Frame with
+// exactly one owner, and its buffer goes back to a pool when the last
+// owner is done. A frame is made where its bytes enter the dataplane: a
+// sending host copies its scratch buffer (dataplane.Host.SendRaw) and a
+// switch copies a PacketOut body, each into a pooled frame. Link.Send
+// takes ownership and never copies; a drop at send (carrier down,
+// injected loss) or at delivery releases the frame, and delivery hands
+// it to the peer's ReceiveFrame. A switch forwards the frame itself to
+// one egress and pooled copies to any others, and releases it when it
+// punts the frame to the controller (the PacketIn marshal copies it),
+// drops it, or has no egress; a host releases it once its hooks and
+// responders return. Channel.Send keeps copy-at-ingress: control-plane
+// senders marshal into reused scratch buffers, so the channel copies the
+// message when it is sent and the receiver owns the delivered copy
+// outright. The in-flight delivery bookkeeping structs are recycled
+// through per-link free lists (links are single-kernel, so no locking).
 
 // frameDelivery is the in-flight state of one Link.Send, pooled on the
 // owning link so steady-state forwarding does not allocate it per frame.
@@ -69,7 +72,7 @@ func (e End) other() End {
 type frameDelivery struct {
 	l       *Link
 	from    End
-	buf     []byte
+	frame   *Frame
 	spanID  uint64
 	parent  uint64
 	startNs int64
@@ -81,16 +84,18 @@ type frameDelivery struct {
 // from the receiver can reuse it.
 func deliverFrame(arg any) {
 	d := arg.(*frameDelivery)
-	l, from, buf := d.l, d.from, d.buf
+	l, from, f := d.l, d.from, d.frame
 	spanID, parent, startNs := d.spanID, d.parent, d.startNs
-	d.l, d.buf = nil, nil
+	d.l, d.frame = nil, nil
 	l.free = append(l.free, d)
 	if spanID != 0 {
 		l.emitFrameSpan(from, spanID, parent, startNs)
 	}
 	if peer := l.peer(from); peer != nil && l.carrier(from.other()) && l.carrier(from) {
-		peer.ReceiveFrame(buf)
+		peer.ReceiveFrame(f)
+		return
 	}
+	f.Release()
 }
 
 // deliverFrameSplit is the cross-shard variant: the delivery struct was
@@ -102,8 +107,10 @@ func deliverFrameSplit(arg any) {
 		d.l.emitFrameSpan(d.from, d.spanID, d.parent, d.startNs)
 	}
 	if peer := d.l.peer(d.from); peer != nil {
-		peer.ReceiveFrame(d.buf)
+		peer.ReceiveFrame(d.frame)
+		return
 	}
+	d.frame.Release()
 }
 
 // splitState holds the cross-shard wiring of a Link or Channel whose two
@@ -400,16 +407,18 @@ func (l *Link) SetLatency(s sim.Sampler) {
 // the peer after the link's sampled latency. Frames are dropped (as on a
 // real wire) if either transceiver is down at send time, if the
 // receiving side's transceiver is down at delivery time, or by injected
-// random loss. Send takes ownership of data without copying it: the
-// caller must not write into the slice afterwards, and the peer receives
-// the same backing array (see the ownership contract above).
-func (l *Link) Send(from End, data []byte) {
+// random loss. Send takes ownership of f without copying it: the caller
+// must not touch f afterwards, a dropped frame is released, and the peer
+// receives f itself (see the ownership contract above).
+func (l *Link) Send(from End, f *Frame) {
 	if !l.upA || !l.upB {
+		f.Release()
 		return
 	}
 	r := l.rng(from)
 	if l.lossRate > 0 && r.Float64() < l.lossRate {
 		l.noteDrop(from)
+		f.Release()
 		return
 	}
 	delay := l.latency.Sample(r)
@@ -417,7 +426,7 @@ func (l *Link) Send(from End, data []byte) {
 	if s := l.split; s != nil {
 		src, dst := s.route(from)
 		s.group.Post(src, dst, delay, deliverFrameSplit,
-			&frameDelivery{l: l, from: from, buf: data, spanID: spanID, parent: parent, startNs: startNs})
+			&frameDelivery{l: l, from: from, frame: f, spanID: spanID, parent: parent, startNs: startNs})
 		return
 	}
 	var d *frameDelivery
@@ -427,7 +436,7 @@ func (l *Link) Send(from End, data []byte) {
 	} else {
 		d = &frameDelivery{}
 	}
-	d.l, d.from, d.buf = l, from, data
+	d.l, d.from, d.frame = l, from, f
 	d.spanID, d.parent, d.startNs = spanID, parent, startNs
 	l.kernel.ScheduleArg(delay, deliverFrame, d)
 }
@@ -472,9 +481,9 @@ func NewEndpoint(l *Link, end End, att Attachment) *Endpoint {
 	return &Endpoint{link: l, end: end}
 }
 
-// Send transmits a frame toward the peer, taking ownership of data as
+// Send transmits a frame toward the peer, taking ownership of f as
 // Link.Send does.
-func (e *Endpoint) Send(data []byte) { e.link.Send(e.end, data) }
+func (e *Endpoint) Send(f *Frame) { e.link.Send(e.end, f) }
 
 // SetCarrier raises or lowers this side's transceiver.
 func (e *Endpoint) SetCarrier(up bool) { e.link.SetCarrier(e.end, up) }

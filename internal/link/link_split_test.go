@@ -24,8 +24,8 @@ func newSplitPair(t *testing.T, latency sim.Sampler) (*sim.ShardGroup, *Endpoint
 
 func TestSplitLinkDeliversAcrossShards(t *testing.T) {
 	g, ea, eb, ra, rb := newSplitPair(t, sim.Const(5*time.Millisecond))
-	g.Kernel(0).Schedule(0, func() { ea.Send([]byte{1, 2}) })
-	g.Kernel(1).Schedule(time.Millisecond, func() { eb.Send([]byte{3}) })
+	g.Kernel(0).Schedule(0, func() { ea.Send(NewFrame([]byte{1, 2})) })
+	g.Kernel(1).Schedule(time.Millisecond, func() { eb.Send(NewFrame([]byte{3})) })
 	if err := g.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func TestSplitLinkDeliversAcrossShards(t *testing.T) {
 func TestSplitLinkParallelRace(t *testing.T) {
 	g, ea, eb, ra, rb := newSplitPair(t, sim.Normal{Mean: 5 * time.Millisecond, Std: time.Millisecond, Min: 2 * time.Millisecond})
 	g.SetParallel(true)
-	g.Kernel(0).NewTicker(time.Millisecond, func() { ea.Send([]byte{0xa}) })
-	g.Kernel(1).NewTicker(time.Millisecond, func() { eb.Send([]byte{0xb}) })
+	g.Kernel(0).NewTicker(time.Millisecond, func() { ea.Send(NewFrame([]byte{0xa})) })
+	g.Kernel(1).NewTicker(time.Millisecond, func() { eb.Send(NewFrame([]byte{0xb})) })
 	if err := g.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSplitLinkShardCountInvariance(t *testing.T) {
 		rb := &recorder{kernel: kB}
 		NewEndpoint(l, EndA, &recorder{kernel: k0})
 		NewEndpoint(l, EndB, rb)
-		k0.NewTicker(10*time.Millisecond, func() { l.Send(EndA, []byte{1}) })
+		k0.NewTicker(10*time.Millisecond, func() { l.Send(EndA, NewFrame([]byte{1})) })
 		if err := g.RunFor(time.Second); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -8,7 +9,8 @@ import (
 )
 
 // recorder is a test Attachment that logs frames and carrier changes with
-// their arrival times.
+// their arrival times. As each frame's last owner it keeps a copy of the
+// bytes and releases the frame.
 type recorder struct {
 	kernel   *sim.Kernel
 	frames   [][]byte
@@ -16,9 +18,10 @@ type recorder struct {
 	carriers []bool
 }
 
-func (r *recorder) ReceiveFrame(data []byte) {
-	r.frames = append(r.frames, data)
+func (r *recorder) ReceiveFrame(f *Frame) {
+	r.frames = append(r.frames, append([]byte(nil), f.Data...))
 	r.times = append(r.times, r.kernel.Elapsed())
+	f.Release()
 }
 
 func (r *recorder) CarrierChange(up bool) { r.carriers = append(r.carriers, up) }
@@ -36,7 +39,7 @@ func newPair(t *testing.T, latency sim.Sampler) (*sim.Kernel, *Endpoint, *Endpoi
 
 func TestLinkDeliversWithLatency(t *testing.T) {
 	k, ea, _, _, rb := newPair(t, sim.Const(5*time.Millisecond))
-	ea.Send([]byte{1, 2, 3})
+	ea.Send(NewFrame([]byte{1, 2, 3}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +53,8 @@ func TestLinkDeliversWithLatency(t *testing.T) {
 
 func TestLinkBidirectional(t *testing.T) {
 	k, ea, eb, ra, rb := newPair(t, sim.Const(time.Millisecond))
-	ea.Send([]byte{1})
-	eb.Send([]byte{2})
+	ea.Send(NewFrame([]byte{1}))
+	eb.Send(NewFrame([]byte{2}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,29 +66,154 @@ func TestLinkBidirectional(t *testing.T) {
 	}
 }
 
+// keeper is a test Attachment that takes delivered frames and holds
+// them unreleased, so a test can inspect what it was handed.
+type keeper struct{ frames []*Frame }
+
+func (k *keeper) ReceiveFrame(f *Frame) { k.frames = append(k.frames, f) }
+func (k *keeper) CarrierChange(bool)    {}
+
 // TestLinkSendTakesOwnership pins the wire-frame contract: the link hands
-// the peer the very slice it was sent, with no per-hop copy. The one copy
-// a frame gets is made by the host that builds it (see
+// the peer the very frame it was sent, with no per-hop copy. The one copy
+// a frame gets is made where it enters the dataplane (see
 // dataplane.TestHostSendRawCopiesScratch).
 func TestLinkSendTakesOwnership(t *testing.T) {
-	k, ea, _, _, rb := newPair(t, sim.Const(0))
-	buf := []byte{9, 8, 7}
-	ea.Send(buf)
+	k := sim.New()
+	l := NewLink(k, sim.Const(0))
+	peer := &keeper{}
+	l.Attach(EndB, peer)
+	f := NewFrame([]byte{9, 8, 7})
+	l.Send(EndA, f)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rb.frames) != 1 {
-		t.Fatalf("frames = %d, want 1", len(rb.frames))
+	if len(peer.frames) != 1 || peer.frames[0] != f {
+		t.Fatal("link did not deliver the frame it was sent")
 	}
-	if got := rb.frames[0]; len(got) != len(buf) || &got[0] != &buf[0] {
-		t.Fatal("link copied the frame instead of delivering the sent backing array")
+	if f.released {
+		t.Fatal("link released a frame it delivered")
 	}
+	f.Release()
+}
+
+// TestLinkDropsReleaseFrames checks that every way a link loses a frame
+// returns it to the pool: a carrier down at send, injected loss, a
+// carrier lost in flight, and a peer that was never attached.
+func TestLinkDropsReleaseFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(k *sim.Kernel, l *Link, f *Frame)
+	}{
+		{"carrier-down-at-send", func(k *sim.Kernel, l *Link, f *Frame) {
+			l.SetCarrier(EndB, false)
+			l.Send(EndA, f)
+		}},
+		{"injected-loss", func(k *sim.Kernel, l *Link, f *Frame) {
+			l.SetLossRate(1)
+			l.Send(EndA, f)
+		}},
+		{"carrier-lost-in-flight", func(k *sim.Kernel, l *Link, f *Frame) {
+			l.Send(EndA, f)
+			k.Schedule(time.Millisecond, func() { l.SetCarrier(EndB, false) })
+		}},
+		{"no-peer", func(k *sim.Kernel, l *Link, f *Frame) {
+			l.Attach(EndB, nil)
+			l.Send(EndA, f)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New()
+			l := NewLink(k, sim.Const(5*time.Millisecond))
+			peer := &keeper{}
+			l.Attach(EndB, peer)
+			f := NewFrame([]byte{1, 2, 3})
+			tc.run(k, l, f)
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(peer.frames) != 0 {
+				t.Fatal("dropped frame was delivered")
+			}
+			if !f.released {
+				t.Fatal("dropped frame was not released")
+			}
+		})
+	}
+}
+
+// TestFrameDoubleReleasePanics pins the ownership check that stays on in
+// every build: a frame released twice had two holders.
+func TestFrameDoubleReleasePanics(t *testing.T) {
+	f := NewFrame([]byte{1})
+	f.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Release did not panic")
+		}
+	}()
+	f.Release()
+}
+
+// TestFramePoolAcrossGoroutines hands frames made on one goroutine to
+// another that releases them, as a cross-shard link does, while both also
+// recycle frames of their own. Run under -race, it checks the pool needs
+// no synchronization from its users.
+func TestFramePoolAcrossGoroutines(t *testing.T) {
+	handoff := make(chan *Frame)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(handoff)
+		for i := 0; i < 500; i++ {
+			f := NewFrame([]byte{byte(i), 1, 2, 3})
+			NewFrame(f.Data).Release()
+			handoff <- f
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		i := 0
+		for f := range handoff {
+			if f.Data[0] != byte(i) || len(f.Data) != 4 {
+				t.Errorf("frame %d arrived as %v", i, f.Data)
+			}
+			f.Release()
+			NewFrame([]byte{9}).Release()
+			i++
+		}
+	}()
+	wg.Wait()
+}
+
+// TestFrameReuseCopies checks that a recycled frame's buffer is reused
+// with exactly the new bytes, and that NewFrame copies rather than
+// aliases, also when copying another frame.
+func TestFrameReuseCopies(t *testing.T) {
+	src := []byte{1, 2, 3, 4, 5, 6}
+	f := NewFrame(src)
+	src[0] = 9
+	if f.Data[0] != 1 || len(f.Data) != 6 {
+		t.Fatalf("NewFrame aliased its input: %v", f.Data)
+	}
+	c := NewFrame(f.Data)
+	c.Data[1] = 7
+	if f.Data[1] != 2 {
+		t.Fatal("a copy of a frame aliased the original")
+	}
+	f.Release()
+	c.Release()
+	g := NewFrame([]byte{4, 2})
+	if string(g.Data) != string([]byte{4, 2}) {
+		t.Fatalf("recycled frame holds %v", g.Data)
+	}
+	g.Release()
 }
 
 func TestCarrierDownDropsFramesAtSend(t *testing.T) {
 	k, ea, eb, _, rb := newPair(t, sim.Const(time.Millisecond))
 	eb.SetCarrier(false)
-	ea.Send([]byte{1})
+	ea.Send(NewFrame([]byte{1}))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +224,7 @@ func TestCarrierDownDropsFramesAtSend(t *testing.T) {
 
 func TestCarrierDownDropsInFlightFrames(t *testing.T) {
 	k, ea, eb, _, rb := newPair(t, sim.Const(10*time.Millisecond))
-	ea.Send([]byte{1})
+	ea.Send(NewFrame([]byte{1}))
 	k.Schedule(5*time.Millisecond, func() { eb.SetCarrier(false) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -135,7 +263,7 @@ func TestSendWithNoPeerAttachment(t *testing.T) {
 	l := NewLink(k, nil)
 	ra := &recorder{kernel: k}
 	ea := NewEndpoint(l, EndA, ra)
-	ea.Send([]byte{1}) // peer never attached: must not panic
+	ea.Send(NewFrame([]byte{1})) // peer never attached: must not panic
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +342,7 @@ func TestChannelCopiesPayload(t *testing.T) {
 func TestLinkLatencyJitterSampledPerFrame(t *testing.T) {
 	k, ea, _, _, rb := newPair(t, sim.Uniform{Lo: time.Millisecond, Hi: 10 * time.Millisecond})
 	for i := 0; i < 20; i++ {
-		ea.Send([]byte{byte(i)})
+		ea.Send(NewFrame([]byte{byte(i)}))
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -73,11 +73,13 @@ func (e Event) String() string {
 const DefaultBusCapacity = 1024
 
 // Bus is a fixed-capacity ring of events plus optional subscribers.
-// Publishing into a full ring evicts the oldest event; the backing array
-// never grows after construction, so steady-state publishing allocates
+// Publishing into a full ring evicts the oldest event. The ring is
+// allocated at full capacity on the first Publish — most registries
+// never publish — and never grows, so steady-state publishing allocates
 // nothing.
 type Bus struct {
 	ring  []Event
+	size  int // ring capacity, allocated on the first Publish
 	next  int // slot the next event is written to
 	n     int // events currently retained
 	total uint64
@@ -90,12 +92,15 @@ func NewBus(capacity int) *Bus {
 	if capacity <= 0 {
 		capacity = DefaultBusCapacity
 	}
-	return &Bus{ring: make([]Event, capacity)}
+	return &Bus{size: capacity}
 }
 
 // Publish appends an event, evicting the oldest beyond capacity, and
 // fans it out to subscribers.
 func (b *Bus) Publish(ev Event) {
+	if b.ring == nil {
+		b.ring = make([]Event, b.size)
+	}
 	b.ring[b.next] = ev
 	b.next = (b.next + 1) % len(b.ring)
 	if b.n < len(b.ring) {

@@ -188,3 +188,24 @@ func TestWriteFormats(t *testing.T) {
 		t.Fatalf("events jsonl = %q, want %q", ev.String(), want)
 	}
 }
+
+// TestBusRingAllocatedOnFirstPublish pins that a registry which never
+// publishes holds no event ring: most registries (switches, hosts, shard
+// kernels) only count.
+func TestBusRingAllocatedOnFirstPublish(t *testing.T) {
+	r := NewRegistry()
+	b := r.Events()
+	if b.ring != nil {
+		t.Fatalf("fresh registry holds a %d-event ring", len(b.ring))
+	}
+	if evs := b.Events(); len(evs) != 0 || b.Total() != 0 {
+		t.Fatalf("empty bus reports %d events, total %d", len(evs), b.Total())
+	}
+	b.Publish(Event{Kind: KindKernel, Name: "e"})
+	if len(b.ring) != DefaultBusCapacity {
+		t.Fatalf("ring holds %d slots after the first publish, want %d", len(b.ring), DefaultBusCapacity)
+	}
+	if evs := b.Events(); len(evs) != 1 || evs[0].Name != "e" {
+		t.Fatalf("events = %+v", evs)
+	}
+}

@@ -209,12 +209,15 @@ func NewManager(seed int64, cfg Config, hooks Hooks) *Manager {
 func (m *Manager) Config() Config { return m.cfg }
 
 // jitter spreads d by +/- JitterFrac, deterministically from the tagged
-// identity and a per-entity sequence number.
+// identity (at most four ids) and a per-entity sequence number. The mix
+// input is built on the stack, so arming a timer allocates nothing here.
 func (m *Manager) jitter(d time.Duration, tag uint64, seq uint64, ids ...uint64) time.Duration {
 	if m.cfg.JitterFrac == 0 || d <= 0 {
 		return d
 	}
-	mix := sim.MixSeed(m.seed, append(append([]uint64{tag}, ids...), seq)...)
+	var buf [6]uint64
+	tags := append(append(append(buf[:0], tag), ids...), seq)
+	mix := sim.MixSeed(m.seed, tags...)
 	// Uniform in [-JitterFrac, +JitterFrac) from the top 53 bits.
 	frac := float64(uint64(mix)>>11) / float64(1<<53) // [0,1)
 	scale := 1 + m.cfg.JitterFrac*(2*frac-1)
@@ -225,8 +228,12 @@ func (m *Manager) jitter(d time.Duration, tag uint64, seq uint64, ids ...uint64)
 	return out
 }
 
-func linkIDs(l Link) []uint64 {
-	return []uint64{l.Src.DPID, uint64(l.Src.No), l.Dst.DPID, uint64(l.Dst.No)}
+// linkJitter jitters a session timer from its link's identity and the
+// session's next sequence number.
+func (m *Manager) linkJitter(d time.Duration, tag uint64, s *session) time.Duration {
+	s.jitterSeq++
+	l := s.link
+	return m.jitter(d, tag, s.jitterSeq, l.Src.DPID, uint64(l.Src.No), l.Dst.DPID, uint64(l.Dst.No))
 }
 
 // PortEvent notes a port that just became (or re-became) a candidate
@@ -362,8 +369,7 @@ func (m *Manager) PathState(a, b Port, alive bool) {
 
 // armRefresh schedules the session's next refresh probe.
 func (m *Manager) armRefresh(s *session) {
-	s.jitterSeq++
-	d := m.jitter(s.interval, jitterTagRefresh, s.jitterSeq, linkIDs(s.link)...)
+	d := m.linkJitter(s.interval, jitterTagRefresh, s)
 	s.refresh = m.hooks.Schedule(d, func() {
 		if m.sessions[s.link] != s {
 			return
@@ -383,8 +389,7 @@ func (m *Manager) armDeadline(s *session) {
 		s.deadline.Cancel()
 	}
 	wait := time.Duration(m.cfg.DetectMult) * s.interval
-	s.jitterSeq++
-	d := m.jitter(wait, jitterTagRefresh, s.jitterSeq, linkIDs(s.link)...)
+	d := m.linkJitter(wait, jitterTagRefresh, s)
 	s.deadline = m.hooks.Schedule(d, func() {
 		if m.sessions[s.link] != s {
 			return
@@ -402,8 +407,7 @@ func (m *Manager) armDeadline(s *session) {
 
 // armDetect schedules the BFD down-confirmation for a suspected session.
 func (m *Manager) armDetect(s *session) {
-	s.jitterSeq++
-	d := m.jitter(m.cfg.BFDDetect, jitterTagDetect, s.jitterSeq, linkIDs(s.link)...)
+	d := m.linkJitter(m.cfg.BFDDetect, jitterTagDetect, s)
 	s.detect = m.hooks.Schedule(d, func() {
 		if m.sessions[s.link] != s {
 			return

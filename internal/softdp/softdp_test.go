@@ -318,3 +318,23 @@ func TestDeterministicTimelines(t *testing.T) {
 		t.Fatalf("eviction timelines diverge:\n%v\n%v", e1, e2)
 	}
 }
+
+// TestJitterMixInputOrder pins the MixSeed input order — tag, ids, seq —
+// so every jittered timer keeps the value it had when the input was a
+// heap-built slice.
+func TestJitterMixInputOrder(t *testing.T) {
+	m := NewManager(11, Config{}, Hooks{})
+	l := Link{Src: Port{DPID: 5, No: 6}, Dst: Port{DPID: 7, No: 8}}
+	s := &session{link: l, jitterSeq: 41}
+	want := func(d time.Duration, tag, seq uint64, ids ...uint64) time.Duration {
+		mix := sim.MixSeed(11, append(append([]uint64{tag}, ids...), seq)...)
+		frac := float64(uint64(mix)>>11) / float64(1<<53)
+		return time.Duration(float64(d) * (1 + m.cfg.JitterFrac*(2*frac-1)))
+	}
+	if got, w := m.linkJitter(time.Second, jitterTagDetect, s), want(time.Second, jitterTagDetect, 42, 5, 6, 7, 8); got != w {
+		t.Fatalf("link jitter = %v, want %v", got, w)
+	}
+	if got, w := m.jitter(time.Second, jitterTagProbe, 3, 5, 6), want(time.Second, jitterTagProbe, 3, 5, 6); got != w {
+		t.Fatalf("port jitter = %v, want %v", got, w)
+	}
+}
