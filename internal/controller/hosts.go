@@ -25,7 +25,7 @@ func (c *Controller) observeHost(ev *PacketInEvent) {
 	}
 	ip := ev.Fields.IPSrc
 	if ev.Eth.Type == packet.EtherTypeARP {
-		if arp, err := packet.UnmarshalARP(ev.Eth.Payload); err == nil {
+		if arp, err := packet.DecodeARP(ev.Eth.Payload); err == nil {
 			ip = arp.SenderIP
 		}
 	}

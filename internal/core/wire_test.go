@@ -8,6 +8,9 @@ import (
 
 	"sdntamper/internal/attack"
 	"sdntamper/internal/dataplane"
+	"sdntamper/internal/link"
+	"sdntamper/internal/netsim"
+	"sdntamper/internal/openflow"
 	"sdntamper/internal/packet"
 )
 
@@ -16,14 +19,31 @@ import (
 // receiving host releases it, so the observer copies every frame on
 // arrival, runs the rest of the host's hook chain, and then compares the
 // frame with its copy: a difference proves a hook or an attack relay
-// wrote into a delivered frame. Frames are released back to a pool once
-// the host is done; in race-detector builds a released frame's bytes are
-// overwritten, so a holder that kept one past its delivery would also
-// break the scenario. Each host keeps its own state, so hosts on
-// different shard goroutines never share observer state and the
-// observer adds no synchronization that could hide a data race.
+// wrote into a delivered frame. It also checks the match tuple the frame
+// carries from the switches it crossed against a fresh parse of its
+// bytes. Frames are released back to a pool once the host is done; in
+// race-detector builds a released frame's bytes are overwritten, so a
+// holder that kept one past its delivery would also break the scenario.
+// Each host keeps its own state, so hosts on different shard goroutines
+// never share observer state and the observer adds no synchronization
+// that could hide a data race.
 type wireWatch struct {
 	hosts []*hostWatch
+	rx    map[*dataplane.Host]*hostRx
+}
+
+// hostRx stands in for a host on its access link, so the observer can
+// reach the wire frame being delivered; the host's hooks see only its
+// bytes.
+type hostRx struct {
+	*dataplane.Host
+	cur *link.Frame
+}
+
+func (r *hostRx) ReceiveFrame(f *link.Frame) {
+	r.cur = f
+	r.Host.ReceiveFrame(f)
+	r.cur = nil
 }
 
 type hostWatch struct {
@@ -34,11 +54,22 @@ type hostWatch struct {
 	bad    string // the first frame found written, if any
 }
 
-// tap chains the observer in front of h's current OnFrame hook, the way
-// trace.TapHost does: it observes and never consumes. A host whose hook
-// an attack replaces later must be tapped again after that.
-func (w *wireWatch) tap(name string, h *dataplane.Host) {
-	hw := &hostWatch{name: name}
+// tap chains the observer in front of the named host's current OnFrame
+// hook, the way trace.TapHost does: it observes and never consumes. A
+// host whose hook an attack replaces later must be tapped again after
+// that, under a new label.
+func (w *wireWatch) tap(n *netsim.Network, name, label string) {
+	h := n.Host(name)
+	rx := w.rx[h]
+	if rx == nil {
+		rx = &hostRx{Host: h}
+		n.HostLink(name).Attach(link.EndB, rx)
+		if w.rx == nil {
+			w.rx = map[*dataplane.Host]*hostRx{}
+		}
+		w.rx[h] = rx
+	}
+	hw := &hostWatch{name: label}
 	w.hosts = append(w.hosts, hw)
 	prev := h.OnFrame
 	h.OnFrame = func(eth *packet.Ethernet, raw []byte) bool {
@@ -49,6 +80,11 @@ func (w *wireWatch) tap(name string, h *dataplane.Host) {
 		consumed := prev != nil && prev(eth, raw)
 		if hw.bad == "" && !bytes.Equal(raw, hw.own) {
 			hw.bad = fmt.Sprintf("frame %d was written during delivery:\n got %x\nwant %x", hw.frames, raw, hw.own)
+		}
+		for _, p := range [2]uint32{1, 2} {
+			if got, want := rx.cur.Fields(p), openflow.ExtractFields(p, raw); hw.bad == "" && got != want {
+				hw.bad = fmt.Sprintf("frame %d carries tuple %+v, want %+v", hw.frames, got, want)
+			}
 		}
 		hw.frames++
 		return consumed
@@ -78,7 +114,7 @@ var fig9Hosts = []string{HostClient, HostAttackerA, HostAttackerB, HostServer}
 // the in-band amnesia fabrication and the SYN flood, and the k=4
 // link-saturation flood at 2 shards executing in parallel (where frames
 // and their pooled buffers cross shard goroutines), with every host's
-// received frames checked during delivery. Under -race, a write or a
+// received frames and their carried match tuples checked during delivery. Under -race, a write or a
 // recycle that overlaps another shard's read of the same buffer is also
 // reported as a data race.
 func TestWireFramesImmutable(t *testing.T) {
@@ -87,7 +123,7 @@ func TestWireFramesImmutable(t *testing.T) {
 		defer s.Close()
 		var w wireWatch
 		for _, name := range fig9Hosts {
-			w.tap(name, s.Host(name))
+			w.tap(s.Net, name, name)
 		}
 		// The LLI calibration period, as inBandCell runs it.
 		if err := s.Run(62 * time.Second); err != nil {
@@ -96,8 +132,8 @@ func TestWireFramesImmutable(t *testing.T) {
 		fab := attack.NewInBandFabrication(s.Net.Kernel, s.Host(HostAttackerA), s.Host(HostAttackerB), 0)
 		fab.Start()
 		// Start replaced the colluding hosts' hooks with the relays.
-		w.tap(HostAttackerA+"/relay", s.Host(HostAttackerA))
-		w.tap(HostAttackerB+"/relay", s.Host(HostAttackerB))
+		w.tap(s.Net, HostAttackerA, HostAttackerA+"/relay")
+		w.tap(s.Net, HostAttackerB, HostAttackerB+"/relay")
 		if err := s.Run(50 * time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +158,7 @@ func TestWireFramesImmutable(t *testing.T) {
 		defer s.Close()
 		var w wireWatch
 		for _, name := range fig9Hosts {
-			w.tap(name, s.Host(name))
+			w.tap(s.Net, name, name)
 		}
 		if _, err := runFlood(s, attack.SYNFlood, 5); err != nil {
 			t.Fatal(err)
@@ -140,7 +176,7 @@ func TestWireFramesImmutable(t *testing.T) {
 		s.Net.SetParallel(true)
 		var w wireWatch
 		for _, name := range topo.HostNames {
-			w.tap(name, s.Net.Host(name))
+			w.tap(s.Net, name, name)
 		}
 		if err := s.Run(30 * time.Second); err != nil {
 			t.Fatal(err)

@@ -254,7 +254,7 @@ func (h *Host) receive(data []byte) {
 }
 
 func (h *Host) handleARP(eth *packet.Ethernet) {
-	arp, err := packet.UnmarshalARP(eth.Payload)
+	arp, err := packet.DecodeARP(eth.Payload)
 	if err != nil {
 		return
 	}

@@ -320,11 +320,12 @@ func (s *Switch) sendPacketIn(inPort uint32, reason uint8, data []byte) {
 }
 
 // handleFrame processes a dataplane frame arriving on port in, and
-// consumes it. A table miss punts the frame to the controller, whose
-// PacketIn marshal copies it, and then releases it.
+// consumes it. The frame's match tuple is parsed at the first switch that
+// reads it and travels with it, so later hops only stamp their in-port. A
+// table miss punts the frame to the controller, whose PacketIn marshal
+// copies it, and then releases it.
 func (s *Switch) handleFrame(in *Port, f *link.Frame) {
-	fields := openflow.ExtractFields(in.no, f.Data)
-	entry := s.table.Lookup(fields)
+	entry := s.table.Lookup(f.Fields(in.no))
 	if entry == nil {
 		s.sendPacketIn(in.no, openflow.ReasonNoMatch, f.Data)
 		f.Release()
@@ -376,11 +377,11 @@ func (s *Switch) execute(actions []openflow.Action, inPort uint32, f *link.Frame
 	}
 }
 
-// forward sends a pooled copy of f out of the pending egress, if any,
-// and returns next as the new pending one.
+// forward sends a pooled copy of f, its parsed tuple included, out of
+// the pending egress, if any, and returns next as the new pending one.
 func (s *Switch) forward(pending, next *Port, f *link.Frame) *Port {
 	if pending != nil {
-		pending.send(link.NewFrame(f.Data))
+		pending.send(f.Copy())
 	}
 	return next
 }
@@ -389,8 +390,9 @@ func (s *Switch) forward(pending, next *Port, f *link.Frame) *Port {
 // controller. Malformed messages are dropped, as a real agent drops
 // undecodable control traffic. The switch takes ownership of data: it is
 // decoded in place, so the caller must never write data again. A
-// PacketOut body is copied into a pooled wire frame, so the dataplane
-// never aliases the control message.
+// PacketOut body is copied into a fresh pooled wire frame, so the
+// dataplane never aliases the control message; its first switch hop
+// parses it.
 func (s *Switch) HandleControl(data []byte) {
 	xid, m, err := s.dec.Decode(data)
 	if err != nil {

@@ -349,10 +349,14 @@ type frameKeeper struct{ frames []*link.Frame }
 func (k *frameKeeper) ReceiveFrame(f *link.Frame) { k.frames = append(k.frames, f) }
 func (k *frameKeeper) CarrierChange(bool)         {}
 
-// TestMultiEgressFramesHaveOneOwner floods a PacketOut body to three
-// egresses, with and without a PacketIn after them: every egress must
-// receive its own frame with the body's bytes, since each wire frame has
-// exactly one owner, and the PacketIn must still carry the body.
+// TestMultiEgressFramesHaveOneOwner floods a frame to three egresses,
+// with and without a PacketIn after them, both as a PacketOut body and as
+// a dataplane frame matching a rule: every egress must receive its own
+// frame with the body's bytes, since each wire frame has exactly one
+// owner, and the PacketIn must still carry the body. Every egress frame
+// yields the body's tuple; a dataplane frame was parsed on ingress, and
+// the original and each copy carry that tuple, so it survives even
+// overwriting the bytes.
 func TestMultiEgressFramesHaveOneOwner(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -364,52 +368,75 @@ func TestMultiEgressFramesHaveOneOwner(t *testing.T) {
 		{"output-controller-output", []openflow.Action{openflow.Output(2), openflow.OutputController(), openflow.Output(3), openflow.Output(4)}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k := sim.New()
-			sw := NewSwitch(k, 0x1)
-			t.Cleanup(sw.Shutdown)
-			tap := &controlTap{}
-			sw.SetControlSender(tap.send)
-			sw.AddPort(1, link.NewLink(k, sim.Const(time.Millisecond)), link.EndA, nil)
-			keepers := make([]*frameKeeper, 3)
-			for i := range keepers {
-				l := link.NewLink(k, sim.Const(time.Millisecond))
-				sw.AddPort(uint32(i+2), l, link.EndA, nil)
-				keepers[i] = &frameKeeper{}
-				l.Attach(link.EndB, keepers[i])
-			}
-			body := packet.NewICMPEcho(packet.MustMAC("cc:cc:cc:cc:cc:cc"), packet.BroadcastMAC,
-				packet.MustIPv4("10.0.0.9"), packet.MustIPv4("10.0.0.2"), 1, 1, false).Marshal()
-			sw.HandleControl(openflow.Marshal(7, &openflow.PacketOut{
-				BufferID: openflow.NoBuffer, InPort: 1, Actions: tc.actions, Data: body,
-			}))
-			if err := k.RunFor(10 * time.Millisecond); err != nil {
-				t.Fatal(err)
-			}
-			seen := map[*link.Frame]bool{}
-			for i, kp := range keepers {
-				if len(kp.frames) != 1 {
-					t.Fatalf("port %d received %d frames, want 1", i+2, len(kp.frames))
+			for _, viaPort := range []bool{false, true} {
+				name := "packet-out"
+				if viaPort {
+					name = "dataplane"
 				}
-				f := kp.frames[0]
-				if seen[f] {
-					t.Fatalf("port %d shares a frame with another egress", i+2)
-				}
-				seen[f] = true
-				if string(f.Data) != string(body) {
-					t.Fatalf("port %d received %x, want %x", i+2, f.Data, body)
-				}
-			}
-			for _, kp := range keepers {
-				kp.frames[0].Release() // a shared frame would panic here
-			}
-			pis := tap.packetIns()
-			if len(pis) != tc.packetIns {
-				t.Fatalf("%d packet-ins, want %d", len(pis), tc.packetIns)
-			}
-			for _, pi := range pis {
-				if string(pi.Data) != string(body) {
-					t.Fatalf("packet-in carries %x, want %x", pi.Data, body)
-				}
+				t.Run(name, func(t *testing.T) {
+					k := sim.New()
+					sw := NewSwitch(k, 0x1)
+					t.Cleanup(sw.Shutdown)
+					tap := &controlTap{}
+					sw.SetControlSender(tap.send)
+					in := link.NewLink(k, sim.Const(time.Millisecond))
+					sw.AddPort(1, in, link.EndA, nil)
+					keepers := make([]*frameKeeper, 3)
+					for i := range keepers {
+						l := link.NewLink(k, sim.Const(time.Millisecond))
+						sw.AddPort(uint32(i+2), l, link.EndA, nil)
+						keepers[i] = &frameKeeper{}
+						l.Attach(link.EndB, keepers[i])
+					}
+					body := packet.NewICMPEcho(packet.MustMAC("cc:cc:cc:cc:cc:cc"), packet.BroadcastMAC,
+						packet.MustIPv4("10.0.0.9"), packet.MustIPv4("10.0.0.2"), 1, 1, false).Marshal()
+					if viaPort {
+						sw.Table().Apply(&openflow.FlowMod{
+							Command: openflow.FlowAdd, Match: openflow.MatchAll(), Priority: 1, Actions: tc.actions,
+						}, k.Now())
+						in.Send(link.EndB, link.NewFrame(body))
+					} else {
+						sw.HandleControl(openflow.Marshal(7, &openflow.PacketOut{
+							BufferID: openflow.NoBuffer, InPort: 1, Actions: tc.actions, Data: body,
+						}))
+					}
+					if err := k.RunFor(10 * time.Millisecond); err != nil {
+						t.Fatal(err)
+					}
+					want := openflow.ExtractFields(9, body)
+					seen := map[*link.Frame]bool{}
+					for i, kp := range keepers {
+						if len(kp.frames) != 1 {
+							t.Fatalf("port %d received %d frames, want 1", i+2, len(kp.frames))
+						}
+						f := kp.frames[0]
+						if seen[f] {
+							t.Fatalf("port %d shares a frame with another egress", i+2)
+						}
+						seen[f] = true
+						if string(f.Data) != string(body) {
+							t.Fatalf("port %d received %x, want %x", i+2, f.Data, body)
+						}
+						if viaPort {
+							clear(f.Data) // only a tuple carried from ingress survives this
+						}
+						if got := f.Fields(9); got != want {
+							t.Fatalf("port %d frame's tuple %+v, want %+v", i+2, got, want)
+						}
+					}
+					for _, kp := range keepers {
+						kp.frames[0].Release() // a shared frame would panic here
+					}
+					pis := tap.packetIns()
+					if len(pis) != tc.packetIns {
+						t.Fatalf("%d packet-ins, want %d", len(pis), tc.packetIns)
+					}
+					for _, pi := range pis {
+						if string(pi.Data) != string(body) {
+							t.Fatalf("packet-in carries %x, want %x", pi.Data, body)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -239,7 +239,7 @@ func (r *arpRule) Observe(now time.Time, eth *packet.Ethernet) (packet.IPv4Addr,
 	if eth.Type != packet.EtherTypeARP {
 		return packet.IPv4Addr{}, ""
 	}
-	arp, err := packet.UnmarshalARP(eth.Payload)
+	arp, err := packet.DecodeARP(eth.Payload)
 	if err != nil || arp.Op != packet.ARPRequest {
 		return packet.IPv4Addr{}, ""
 	}

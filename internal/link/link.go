@@ -54,10 +54,14 @@ func (e End) other() End {
 // takes ownership and never copies; a drop at send (carrier down,
 // injected loss) or at delivery releases the frame, and delivery hands
 // it to the peer's ReceiveFrame. A switch forwards the frame itself to
-// one egress and pooled copies to any others, and releases it when it
-// punts the frame to the controller (the PacketIn marshal copies it),
-// drops it, or has no egress; a host releases it once its hooks and
-// responders return. Channel.Send keeps copy-at-ingress: control-plane
+// one egress and pooled copies (Frame.Copy) to any others, and releases
+// it when it punts the frame to the controller (the PacketIn marshal
+// copies it), drops it, or has no egress; a host releases it once its
+// hooks and responders return. Because no holder writes a frame, the
+// match tuple parsed from its bytes (Frame.Fields) is computed at the
+// first switch that reads it and travels with it to its last hop: a copy
+// carries it too, and NewFrame clears it, so a recycled frame never keeps
+// a stale tuple. Channel.Send keeps copy-at-ingress: control-plane
 // senders marshal into reused scratch buffers, so the channel copies the
 // message when it is sent and the receiver owns the delivered copy
 // outright. The in-flight delivery bookkeeping structs are recycled

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"sdntamper/internal/openflow"
+	"sdntamper/internal/packet"
 	"sdntamper/internal/sim"
 )
 
@@ -187,8 +189,9 @@ func TestFramePoolAcrossGoroutines(t *testing.T) {
 }
 
 // TestFrameReuseCopies checks that a recycled frame's buffer is reused
-// with exactly the new bytes, and that NewFrame copies rather than
-// aliases, also when copying another frame.
+// with exactly the new bytes, that NewFrame and Copy copy rather than
+// alias, and that a frame parsed, released and reused for other bytes
+// yields the new bytes' tuple, never the cached one.
 func TestFrameReuseCopies(t *testing.T) {
 	src := []byte{1, 2, 3, 4, 5, 6}
 	f := NewFrame(src)
@@ -196,7 +199,7 @@ func TestFrameReuseCopies(t *testing.T) {
 	if f.Data[0] != 1 || len(f.Data) != 6 {
 		t.Fatalf("NewFrame aliased its input: %v", f.Data)
 	}
-	c := NewFrame(f.Data)
+	c := f.Copy()
 	c.Data[1] = 7
 	if f.Data[1] != 2 {
 		t.Fatal("a copy of a frame aliased the original")
@@ -208,6 +211,71 @@ func TestFrameReuseCopies(t *testing.T) {
 		t.Fatalf("recycled frame holds %v", g.Data)
 	}
 	g.Release()
+
+	// The pool hands back the frame just released (the race detector's
+	// pool drops some, so repeat): its parsed tuple must not survive.
+	corpus := fieldsCorpus()
+	for i := 0; i < 16; i++ {
+		prev, next := corpus[i%len(corpus)], corpus[(i+1)%len(corpus)]
+		f := NewFrame(prev)
+		f.Fields(1)
+		f.Release()
+		g := NewFrame(next)
+		if got, want := g.Fields(2), openflow.ExtractFields(2, next); got != want {
+			t.Fatalf("reused frame: tuple %+v, want %+v", got, want)
+		}
+		g.Release()
+	}
+}
+
+// fieldsCorpus is a set of frames that exercise every layer ExtractFields
+// reads, plus frames it rejects part-way.
+func fieldsCorpus() [][]byte {
+	a, b := packet.MustMAC("aa:aa:aa:aa:aa:01"), packet.MustMAC("bb:bb:bb:bb:bb:02")
+	ipA, ipB := packet.MustIPv4("10.0.0.1"), packet.MustIPv4("10.0.0.2")
+	u := &packet.UDP{SrcPort: 5000, DstPort: 9, Payload: []byte("flood")}
+	ip := &packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: ipA, Dst: ipB, Payload: u.Marshal()}
+	udp := (&packet.Ethernet{Dst: b, Src: a, Type: packet.EtherTypeIPv4, Payload: ip.Marshal()}).Marshal()
+	badSum := append([]byte(nil), udp...)
+	badSum[len(badSum)-1] ^= 0xff // the UDP checksum fails: an L3-only tuple
+	return [][]byte{
+		udp,
+		badSum,
+		udp[:20], // truncated IPv4: an L2-only tuple
+		packet.NewARPRequest(a, ipA, ipB).Marshal(),
+		packet.NewICMPEcho(a, b, ipA, ipB, 3, 4, false).Marshal(),
+		packet.NewTCPSegment(a, b, ipA, ipB, 40000, 443, packet.TCPSyn, 11, 0, nil).Marshal(),
+		{1, 2, 3},
+	}
+}
+
+// FuzzFrameFields: for any bytes, the tuple a pooled frame caches, and the
+// tuple its copies carry, equal a fresh openflow.ExtractFields at two
+// different in-ports, whether a copy is made before or after the
+// original is parsed.
+func FuzzFrameFields(f *testing.F) {
+	for _, data := range fieldsCorpus() {
+		f.Add(uint32(1), data)
+	}
+	f.Fuzz(func(t *testing.T, inPort uint32, data []byte) {
+		check := func(what string, fr *Frame) {
+			t.Helper()
+			for _, p := range [2]uint32{inPort, inPort + 1} {
+				if got, want := fr.Fields(p), openflow.ExtractFields(p, data); got != want {
+					t.Fatalf("%s at port %d: tuple %+v, want %+v", what, p, got, want)
+				}
+			}
+		}
+		fr := NewFrame(data)
+		early := fr.Copy()
+		check("frame", fr)
+		late := fr.Copy()
+		check("copy of the parsed frame", late)
+		check("copy made before the parse", early)
+		for _, x := range []*Frame{fr, early, late} {
+			x.Release()
+		}
+	})
 }
 
 func TestCarrierDownDropsFramesAtSend(t *testing.T) {

@@ -18,8 +18,9 @@ func FuzzLLDPDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	probe := &Frame{ChassisID: 3, PortID: 1, TTLSecs: 120, Timestamp: k.SealTimestamp(time.Unix(5, 0))}
-	k.Sign(probe)
+	s := k.NewSigner()
+	probe := &Frame{ChassisID: 3, PortID: 1, TTLSecs: 120, Timestamp: s.SealTimestamp(time.Unix(5, 0))}
+	s.Sign(probe)
 	f.Add(probe.Marshal())
 	f.Add((&Frame{ChassisID: 1, PortID: 2, TTLSecs: 120}).Marshal())
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -38,11 +39,11 @@ func FuzzLLDPDecode(f *testing.F) {
 		if !reflect.DeepEqual(*got, frame) {
 			t.Fatalf("Unmarshal %#v, Decode %#v", *got, frame)
 		}
-		if a, b := k.Verify(got), k.Verify(&frame); (a == nil) != (b == nil) {
+		if a, b := s.Verify(got), s.Verify(&frame); (a == nil) != (b == nil) {
 			t.Fatalf("Verify: Unmarshal %v, Decode %v", a, b)
 		}
-		ta, ea := k.OpenTimestamp(got.Timestamp)
-		tb, eb := k.OpenTimestamp(frame.Timestamp)
+		ta, ea := s.OpenTimestamp(got.Timestamp)
+		tb, eb := s.OpenTimestamp(frame.Timestamp)
 		if !ta.Equal(tb) || (ea == nil) != (eb == nil) {
 			t.Fatalf("OpenTimestamp: Unmarshal %v %v, Decode %v %v", ta, ea, tb, eb)
 		}

@@ -30,9 +30,10 @@ func TestMutatedFramesNeverVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := k.NewSigner()
 	base := &Frame{ChassisID: 7, PortID: 9, TTLSecs: 120}
-	base.Timestamp = k.SealTimestamp(time.Unix(100, 0))
-	k.Sign(base)
+	base.Timestamp = s.SealTimestamp(time.Unix(100, 0))
+	s.Sign(base)
 	wire := base.Marshal()
 
 	f := func(pos uint16, bit uint8) bool {
@@ -43,7 +44,7 @@ func TestMutatedFramesNeverVerify(t *testing.T) {
 		if err != nil {
 			return true // failed to parse: fine
 		}
-		if err := k.Verify(got); err == nil {
+		if err := s.Verify(got); err == nil {
 			// Verification passing is only acceptable if the mutation
 			// did not change any authenticated content.
 			same := got.ChassisID == base.ChassisID && got.PortID == base.PortID &&
@@ -68,13 +69,14 @@ func TestOpenTimestampNeverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := k.NewSigner()
 	f := func(ct []byte) bool {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Errorf("panic on %x: %v", ct, r)
 			}
 		}()
-		_, _ = k.OpenTimestamp(ct)
+		_, _ = s.OpenTimestamp(ct)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -20,10 +20,10 @@ var (
 )
 
 // Keychain holds the controller-owned secrets used to authenticate LLDP
-// frames and to seal departure timestamps. Its methods allocate per call;
-// a hot path signs and verifies through a Signer. End hosts (and therefore
-// attackers) never hold a Keychain; they can only replay TLVs byte-for-byte,
-// which is exactly the capability the paper's relay attacks assume.
+// frames and to seal departure timestamps; a Signer (NewSigner) applies
+// them. End hosts (and therefore attackers) never hold a Keychain; they can
+// only replay TLVs byte-for-byte, which is exactly the capability the
+// paper's relay attacks assume.
 type Keychain struct {
 	hmacKey []byte
 	gcm     cipher.AEAD
@@ -131,19 +131,4 @@ func (s *Signer) OpenTimestamp(ct []byte) (time.Time, error) {
 		return time.Time{}, fmt.Errorf("%w: bad plaintext length %d", ErrBadTimestamp, len(plain))
 	}
 	return time.Unix(0, int64(binary.BigEndian.Uint64(plain))), nil
-}
-
-// Sign is Signer.Sign through a fresh signer, so f.Auth is f's own.
-func (k *Keychain) Sign(f *Frame) { k.NewSigner().Sign(f) }
-
-// Verify is Signer.Verify through a fresh signer.
-func (k *Keychain) Verify(f *Frame) error { return k.NewSigner().Verify(f) }
-
-// SealTimestamp is Signer.SealTimestamp through a fresh signer, so the
-// result is the caller's own.
-func (k *Keychain) SealTimestamp(t time.Time) []byte { return k.NewSigner().SealTimestamp(t) }
-
-// OpenTimestamp is Signer.OpenTimestamp through a fresh signer.
-func (k *Keychain) OpenTimestamp(ct []byte) (time.Time, error) {
-	return k.NewSigner().OpenTimestamp(ct)
 }

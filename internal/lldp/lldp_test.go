@@ -132,40 +132,43 @@ func TestSignVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := k.NewSigner()
 	f := &Frame{ChassisID: 1, PortID: 2, TTLSecs: 120}
-	k.Sign(f)
-	if err := k.Verify(f); err != nil {
+	s.Sign(f)
+	if err := s.Verify(f); err != nil {
 		t.Fatalf("verify signed frame: %v", err)
 	}
 }
 
 func TestVerifySurvivesRoundTrip(t *testing.T) {
 	k, _ := NewKeychain([]byte("secret"))
+	s := k.NewSigner()
 	f := &Frame{ChassisID: 7, PortID: 9, TTLSecs: 120}
-	f.Timestamp = k.SealTimestamp(time.Unix(1000, 0))
-	k.Sign(f)
+	f.Timestamp = s.SealTimestamp(time.Unix(1000, 0))
+	s.Sign(f)
 	got, err := Unmarshal(f.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Verify(got); err != nil {
+	if err := s.Verify(got); err != nil {
 		t.Fatalf("verify after roundtrip: %v", err)
 	}
 }
 
 func TestVerifyRejectsTampering(t *testing.T) {
 	k, _ := NewKeychain([]byte("secret"))
+	s := k.NewSigner()
 	f := &Frame{ChassisID: 1, PortID: 2, TTLSecs: 120}
-	k.Sign(f)
+	s.Sign(f)
 
 	forged := *f
 	forged.PortID = 3 // attacker rewrites origin port
-	if err := k.Verify(&forged); !errors.Is(err, ErrBadAuth) {
+	if err := s.Verify(&forged); !errors.Is(err, ErrBadAuth) {
 		t.Fatalf("tampered frame verified: %v", err)
 	}
 
 	unsigned := &Frame{ChassisID: 1, PortID: 2}
-	if err := k.Verify(unsigned); !errors.Is(err, ErrBadAuth) {
+	if err := s.Verify(unsigned); !errors.Is(err, ErrBadAuth) {
 		t.Fatalf("unsigned frame verified: %v", err)
 	}
 }
@@ -174,28 +177,30 @@ func TestVerifyRejectsWrongKey(t *testing.T) {
 	k1, _ := NewKeychain([]byte("controller"))
 	k2, _ := NewKeychain([]byte("attacker"))
 	f := &Frame{ChassisID: 1, PortID: 2}
-	k2.Sign(f)
-	if err := k1.Verify(f); !errors.Is(err, ErrBadAuth) {
+	k2.NewSigner().Sign(f)
+	if err := k1.NewSigner().Verify(f); !errors.Is(err, ErrBadAuth) {
 		t.Fatalf("cross-key frame verified: %v", err)
 	}
 }
 
 func TestSignatureCoversTimestamp(t *testing.T) {
 	k, _ := NewKeychain([]byte("secret"))
+	s := k.NewSigner()
 	f := &Frame{ChassisID: 1, PortID: 2}
-	f.Timestamp = k.SealTimestamp(time.Unix(5, 0))
-	k.Sign(f)
-	f.Timestamp = k.SealTimestamp(time.Unix(6, 0)) // swap in a fresher timestamp
-	if err := k.Verify(f); !errors.Is(err, ErrBadAuth) {
+	f.Timestamp = s.SealTimestamp(time.Unix(5, 0))
+	s.Sign(f)
+	f.Timestamp = s.SealTimestamp(time.Unix(6, 0)) // swap in a fresher timestamp
+	if err := s.Verify(f); !errors.Is(err, ErrBadAuth) {
 		t.Fatal("timestamp substitution not detected: attacker could defeat the LLI by re-stamping")
 	}
 }
 
 func TestTimestampSealOpen(t *testing.T) {
 	k, _ := NewKeychain([]byte("secret"))
+	s := k.NewSigner()
 	want := time.Unix(1530000000, 123456789)
-	ct := k.SealTimestamp(want)
-	got, err := k.OpenTimestamp(ct)
+	ct := s.SealTimestamp(want)
+	got, err := s.OpenTimestamp(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +211,9 @@ func TestTimestampSealOpen(t *testing.T) {
 
 func TestTimestampCiphertextsDiffer(t *testing.T) {
 	k, _ := NewKeychain([]byte("secret"))
-	a := k.SealTimestamp(time.Unix(1, 0))
-	b := k.SealTimestamp(time.Unix(1, 0))
+	s := k.NewSigner()
+	a := bytes.Clone(s.SealTimestamp(time.Unix(1, 0))) // the next seal reuses s's scratch
+	b := s.SealTimestamp(time.Unix(1, 0))
 	if bytes.Equal(a, b) {
 		t.Fatal("nonce reuse: identical plaintexts produced identical ciphertexts")
 	}
@@ -216,29 +222,31 @@ func TestTimestampCiphertextsDiffer(t *testing.T) {
 func TestTimestampOpaqueToAttacker(t *testing.T) {
 	controller, _ := NewKeychain([]byte("controller"))
 	attacker, _ := NewKeychain([]byte("guess"))
-	ct := controller.SealTimestamp(time.Unix(42, 0))
-	if _, err := attacker.OpenTimestamp(ct); !errors.Is(err, ErrBadTimestamp) {
+	ct := controller.NewSigner().SealTimestamp(time.Unix(42, 0))
+	if _, err := attacker.NewSigner().OpenTimestamp(ct); !errors.Is(err, ErrBadTimestamp) {
 		t.Fatal("attacker decrypted controller timestamp")
 	}
 }
 
 func TestTimestampTamperDetected(t *testing.T) {
 	k, _ := NewKeychain([]byte("secret"))
-	ct := k.SealTimestamp(time.Unix(42, 0))
+	s := k.NewSigner()
+	ct := s.SealTimestamp(time.Unix(42, 0))
 	ct[len(ct)-1] ^= 0x01
-	if _, err := k.OpenTimestamp(ct); !errors.Is(err, ErrBadTimestamp) {
+	if _, err := s.OpenTimestamp(ct); !errors.Is(err, ErrBadTimestamp) {
 		t.Fatal("tampered ciphertext accepted")
 	}
-	if _, err := k.OpenTimestamp(ct[:4]); !errors.Is(err, ErrBadTimestamp) {
+	if _, err := s.OpenTimestamp(ct[:4]); !errors.Is(err, ErrBadTimestamp) {
 		t.Fatal("short ciphertext accepted")
 	}
 }
 
 func TestTimestampRoundTripProperty(t *testing.T) {
 	k, _ := NewKeychain([]byte("secret"))
+	s := k.NewSigner()
 	f := func(ns int64) bool {
 		want := time.Unix(0, ns)
-		got, err := k.OpenTimestamp(k.SealTimestamp(want))
+		got, err := s.OpenTimestamp(s.SealTimestamp(want))
 		return err == nil && got.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -250,9 +258,10 @@ func TestRelayedFrameStillVerifies(t *testing.T) {
 	// The crux of the link-fabrication attack: a byte-for-byte relayed LLDP
 	// frame remains authentic, so LLDP signing alone cannot stop relaying.
 	k, _ := NewKeychain([]byte("controller"))
+	s := k.NewSigner()
 	f := &Frame{ChassisID: 0x1, PortID: 1, TTLSecs: 120}
-	f.Timestamp = k.SealTimestamp(time.Unix(100, 0))
-	k.Sign(f)
+	f.Timestamp = s.SealTimestamp(time.Unix(100, 0))
+	s.Sign(f)
 	wire := f.Marshal()
 
 	relayed := make([]byte, len(wire))
@@ -261,14 +270,14 @@ func TestRelayedFrameStillVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Verify(got); err != nil {
+	if err := s.Verify(got); err != nil {
 		t.Fatalf("relayed authentic frame failed verification: %v", err)
 	}
 }
 
 // TestSignersShareNonceSequence: signers of one keychain draw from its
 // single nonce counter, so interleaving two of them (as a cluster's
-// replicas do) seals exactly the bytes the keychain alone would, and a
+// replicas do) seals exactly the bytes one signer alone would, and a
 // reused signer signs exactly what a fresh one does.
 func TestSignersShareNonceSequence(t *testing.T) {
 	ref, err := NewKeychain([]byte("replicas"))
@@ -286,8 +295,9 @@ func TestSignersShareNonceSequence(t *testing.T) {
 		if i%3 == 1 {
 			s = b
 		}
-		want := &Frame{ChassisID: uint64(i), PortID: 2, TTLSecs: 120, Timestamp: ref.SealTimestamp(at)}
-		ref.Sign(want)
+		fresh := ref.NewSigner()
+		want := &Frame{ChassisID: uint64(i), PortID: 2, TTLSecs: 120, Timestamp: fresh.SealTimestamp(at)}
+		fresh.Sign(want)
 		got := &Frame{ChassisID: uint64(i), PortID: 2, TTLSecs: 120, Timestamp: s.SealTimestamp(at)}
 		s.Sign(got)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {

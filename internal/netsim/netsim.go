@@ -87,6 +87,7 @@ type Network struct {
 	switches    map[uint64]*dataplane.Switch
 	hosts       map[string]*dataplane.Host
 	hostLoc     map[string]controller.PortRef
+	hostLinks   map[string]*link.Link
 	controls    map[uint64]*link.Channel
 	trunks      []*link.Link
 	crossTrunks int
@@ -159,6 +160,7 @@ func newNetwork(seed int64, entityStreams bool, partition map[uint64]int, kernel
 		switches:      make(map[uint64]*dataplane.Switch),
 		hosts:         make(map[string]*dataplane.Host),
 		hostLoc:       make(map[string]controller.PortRef),
+		hostLinks:     make(map[string]*link.Link),
 		controls:      make(map[uint64]*link.Channel),
 	}
 }
@@ -410,6 +412,7 @@ func (n *Network) AddHost(name string, mac, ip string, dpid uint64, port uint32,
 	h := dataplane.NewHost(n.kernels[s], name, packet.MustMAC(mac), packet.MustIPv4(ip), l, link.EndB, opts...)
 	n.hosts[name] = h
 	n.hostLoc[name] = controller.PortRef{DPID: dpid, Port: port}
+	n.hostLinks[name] = l
 	return h
 }
 
@@ -418,6 +421,10 @@ func (n *Network) Host(name string) *dataplane.Host { return n.hosts[name] }
 
 // HostLocation reports the switch port a host was attached to.
 func (n *Network) HostLocation(name string) controller.PortRef { return n.hostLoc[name] }
+
+// HostLink returns a host's access link, or nil. The switch holds EndA
+// and the host EndB.
+func (n *Network) HostLink(name string) *link.Link { return n.hostLinks[name] }
 
 // MoveHost detaches a host's name binding and re-attaches a new host
 // object at a different switch port, modeling a migration's endpoint. The

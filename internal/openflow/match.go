@@ -50,7 +50,9 @@ type Fields struct {
 // OpenFlow match tuple. Parse failures of inner layers yield a partially
 // populated tuple rather than an error, as a hardware switch would. Every
 // layer is validated in place (packet.Decode*), so a well-formed frame is
-// classified without allocating or copying its payload.
+// classified without allocating or copying its payload. A switch reaches
+// it through link.Frame.Fields, which runs it once per wire frame and
+// reuses the tuple at every later hop.
 func ExtractFields(inPort uint32, data []byte) Fields {
 	f := Fields{InPort: inPort}
 	eth, err := packet.DecodeEthernet(data)

@@ -37,18 +37,19 @@ func (a *ARP) AppendTo(buf []byte) []byte {
 	return append(buf, a.TargetIP[:]...)
 }
 
-// UnmarshalARP decodes wire bytes into an ARP packet.
-func UnmarshalARP(b []byte) (*ARP, error) {
+// DecodeARP decodes an ARP packet by value. ARP holds no slices, so
+// nothing of b is retained and nothing is allocated.
+func DecodeARP(b []byte) (ARP, error) {
 	if len(b) < arpLen {
-		return nil, fmt.Errorf("%w: arp needs %d bytes, have %d", ErrTruncated, arpLen, len(b))
+		return ARP{}, fmt.Errorf("%w: arp needs %d bytes, have %d", ErrTruncated, arpLen, len(b))
 	}
 	if ht := binary.BigEndian.Uint16(b[0:2]); ht != 1 {
-		return nil, fmt.Errorf("packet: unsupported arp hardware type %d", ht)
+		return ARP{}, fmt.Errorf("packet: unsupported arp hardware type %d", ht)
 	}
 	if pt := binary.BigEndian.Uint16(b[2:4]); pt != 0x0800 {
-		return nil, fmt.Errorf("packet: unsupported arp protocol type 0x%04x", pt)
+		return ARP{}, fmt.Errorf("packet: unsupported arp protocol type 0x%04x", pt)
 	}
-	a := &ARP{Op: binary.BigEndian.Uint16(b[6:8])}
+	a := ARP{Op: binary.BigEndian.Uint16(b[6:8])}
 	copy(a.SenderHW[:], b[8:14])
 	copy(a.SenderIP[:], b[14:18])
 	copy(a.TargetHW[:], b[18:24])

@@ -9,7 +9,7 @@ import (
 func TestDecodersNeverPanic(t *testing.T) {
 	decoders := map[string]func([]byte){
 		"ethernet": func(b []byte) { _, _ = UnmarshalEthernet(b) },
-		"arp":      func(b []byte) { _, _ = UnmarshalARP(b) },
+		"arp":      func(b []byte) { _, _ = DecodeARP(b) },
 		"ipv4":     func(b []byte) { _, _ = UnmarshalIPv4(b) },
 		"icmp":     func(b []byte) { _, _ = UnmarshalICMP(b) },
 		"tcp":      func(b []byte) { _, _ = UnmarshalTCP(b) },
@@ -47,7 +47,7 @@ func TestLayeredDecodeNeverPanics(t *testing.T) {
 		}
 		switch eth.Type {
 		case EtherTypeARP:
-			_, _ = UnmarshalARP(eth.Payload)
+			_, _ = DecodeARP(eth.Payload)
 		case EtherTypeIPv4:
 			ip, err := UnmarshalIPv4(eth.Payload)
 			if err != nil {

@@ -143,11 +143,11 @@ func TestARPRoundTrip(t *testing.T) {
 		TargetHW: MustMAC("00:00:00:00:00:00"),
 		TargetIP: MustIPv4("10.0.0.2"),
 	}
-	got, err := UnmarshalARP(a.Marshal())
+	got, err := DecodeARP(a.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *a {
+	if got != *a {
 		t.Fatalf("roundtrip mismatch: %+v vs %+v", got, a)
 	}
 }
@@ -158,8 +158,8 @@ func TestARPRoundTripProperty(t *testing.T) {
 		if op {
 			a.Op = ARPReply
 		}
-		got, err := UnmarshalARP(a.Marshal())
-		return err == nil && *got == *a
+		got, err := DecodeARP(a.Marshal())
+		return err == nil && got == *a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -169,15 +169,15 @@ func TestARPRoundTripProperty(t *testing.T) {
 func TestARPBadHardwareType(t *testing.T) {
 	raw := (&ARP{Op: ARPRequest}).Marshal()
 	raw[0] = 0xff
-	if _, err := UnmarshalARP(raw); err == nil {
+	if _, err := DecodeARP(raw); err == nil {
 		t.Fatal("expected hardware-type error")
 	}
 	raw = (&ARP{Op: ARPRequest}).Marshal()
 	raw[2] = 0xff
-	if _, err := UnmarshalARP(raw); err == nil {
+	if _, err := DecodeARP(raw); err == nil {
 		t.Fatal("expected protocol-type error")
 	}
-	if _, err := UnmarshalARP(make([]byte, 27)); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeARP(make([]byte, 27)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
 }
@@ -187,7 +187,7 @@ func TestNewARPRequestIsBroadcast(t *testing.T) {
 	if !e.Dst.IsBroadcast() {
 		t.Fatal("ARP request should be broadcast")
 	}
-	a, err := UnmarshalARP(e.Payload)
+	a, err := DecodeARP(e.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

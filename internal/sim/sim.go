@@ -182,10 +182,7 @@ type Option func(*Kernel)
 
 // WithSeed sets the kernel RNG seed. The default seed is 1.
 func WithSeed(seed int64) Option {
-	return func(k *Kernel) {
-		k.seed = seed
-		k.rng = rand.New(rand.NewSource(seed))
-	}
+	return func(k *Kernel) { k.seed = seed }
 }
 
 // WithEpoch sets the virtual time at which the simulation begins.
@@ -207,19 +204,22 @@ func New(opts ...Option) *Kernel {
 	k := &Kernel{
 		epoch:      Epoch,
 		seed:       1,
-		rng:        rand.New(rand.NewSource(1)),
 		eventLimit: 50_000_000,
 	}
 	for _, opt := range opts {
 		opt(k)
 	}
+	// Seeded once, after the options: a source costs ~5 KB to build.
+	k.rng = rand.New(rand.NewSource(k.seed))
 	return k
 }
 
 // Reset returns the kernel to its initial state — clock at the epoch,
 // sequence and executed counters at zero, RNG reseeded with the
 // configured seed — while retaining the heap and free-list capacity so a
-// kernel reused across trials does not re-grow its queue. All pending
+// kernel reused across trials does not re-grow its queue. The RNG is
+// reseeded in place, so a component holding Rand() draws the restarted
+// sequence too. All pending
 // events are discarded and every outstanding Event handle goes inert.
 // The event limit, epoch and step hook are construction-time wiring and
 // are kept.
@@ -233,7 +233,7 @@ func (k *Kernel) Reset() {
 	k.nowNs = 0
 	k.seq = 0
 	k.executed = 0
-	k.rng = rand.New(rand.NewSource(k.seed))
+	k.rng.Seed(k.seed)
 }
 
 // timeAt converts a virtual-ns offset to the public time.Time form.

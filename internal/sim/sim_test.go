@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -204,6 +205,40 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("trace diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestSeededRandMatchesReference: a kernel's RNG draws exactly the
+// sequence of rand.New(rand.NewSource(seed)), for the default seed and
+// WithSeed alike, and Reset restarts that sequence, including the
+// buffered Read position that Float64-style draws do not touch.
+func TestSeededRandMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		seed int64
+		opts []Option
+	}{
+		{"default", 1, nil},
+		{"with-seed", 42, []Option{WithSeed(42)}},
+		{"with-seed-twice", -9, []Option{WithSeed(3), WithSeed(-9)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := New(tc.opts...)
+			draw := func(r *rand.Rand) [4]int64 {
+				var buf [3]byte
+				r.Read(buf[:])
+				return [4]int64{r.Int63(), int64(buf[0])<<16 | int64(buf[1])<<8 | int64(buf[2]), r.Int63n(1000), int64(r.NormFloat64() * 1e9)}
+			}
+			for round := 0; round < 2; round++ {
+				ref := rand.New(rand.NewSource(tc.seed))
+				for i := 0; i < 5; i++ {
+					if got, want := draw(k.Rand()), draw(ref); got != want {
+						t.Fatalf("round %d draw %d: kernel %v, reference %v", round, i, got, want)
+					}
+				}
+				k.Reset()
+			}
+		})
 	}
 }
 

@@ -175,7 +175,7 @@ func (s *Sphinx) InterceptPacketIn(ev *controller.PacketInEvent) bool {
 
 	ip := ev.Fields.IPSrc
 	if ev.Eth.Type == packet.EtherTypeARP {
-		if arp, err := packet.UnmarshalARP(ev.Eth.Payload); err == nil {
+		if arp, err := packet.DecodeARP(ev.Eth.Payload); err == nil {
 			ip = arp.SenderIP
 		}
 	}

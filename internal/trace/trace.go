@@ -139,7 +139,7 @@ func Summarize(raw []byte) string {
 }
 
 func summarizeARP(payload []byte) string {
-	arp, err := packet.UnmarshalARP(payload)
+	arp, err := packet.DecodeARP(payload)
 	if err != nil {
 		return fmt.Sprintf("ARP (malformed, %d bytes)", len(payload))
 	}

@@ -55,8 +55,9 @@ func TestSummarizeLLDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &lldp.Frame{ChassisID: 0x2, PortID: 1, TTLSecs: 120}
-	f.Timestamp = k.SealTimestamp(time.Unix(1, 0))
-	k.Sign(f)
+	s := k.NewSigner()
+	f.Timestamp = s.SealTimestamp(time.Unix(1, 0))
+	s.Sign(f)
 	got := Summarize(lldp.NewEthernet(packet.MustMAC("0e:00:00:00:00:01"), f).Marshal())
 	for _, want := range []string{"LLDP chassis=0x2 port=1", "+hmac", "+timestamp"} {
 		if !strings.Contains(got, want) {
