@@ -65,102 +65,284 @@ func (e End) other() End {
 // senders marshal into reused scratch buffers, so the channel copies the
 // message when it is sent and the receiver owns the delivered copy
 // outright. The in-flight delivery bookkeeping structs are recycled
-// through per-link free lists (links are single-kernel, so no locking).
+// through per-link and per-channel free lists on unsplit links and
+// channels only (one kernel runs both ends, so no locking); a split one
+// allocates every delivery afresh, because the struct is made on the
+// sending shard and consumed on the receiving one.
 
-// frameDelivery is the in-flight state of one Link.Send, pooled on the
-// owning link so steady-state forwarding does not allocate it per frame.
-// The span fields carry the traversal's trace identity from the sending
-// shard to the receiving one — the pooled struct IS the cross-shard
-// span handoff, so a traced chain survives the cross-shard mailbox with its
-// parent intact.
-type frameDelivery struct {
-	l       *Link
+// pipe is the delivery core that Link and Channel share: a full-duplex
+// path whose sends draw injected loss and a one-way delay from a
+// per-direction RNG stream (or the owning kernel's), carry a span when
+// the sender is traced, and arrive through the owning kernel — or, once
+// Split, through the shard group's cross-shard mailbox.
+//
+// A split pipe's ends live on different shards whose goroutines send
+// concurrently, so its per-send mutable state is owned per direction
+// (RNG streams, drop counters, span sequence numbers) or freshly
+// allocated (delivery structs), and its shared fields stay fixed while
+// the group runs: Link.SetCarrier panics on a split link, SetLossRate
+// and SetLatency are legal only between runs, and a SetLatency whose
+// sampler's lower bound undercuts the lookahead registered at Split
+// panics.
+type pipe struct {
+	kernel             *sim.Kernel
+	latency            sim.Sampler
+	lossRate           float64
+	droppedA, droppedB uint64
+	rngA, rngB         *rand.Rand
+	split              *splitState
+
+	// Trace wiring: the pipe's identity hash plus one recorder per end
+	// (the recorder of the shard that end lives on; identical for
+	// unsplit pipes). Per-direction sequence counters number traced
+	// sends, so a send's span ID depends only on the pipe's identity
+	// and its position in that direction's traced traffic — never on
+	// shard placement.
+	trEnt      uint64
+	trA, trB   *trace.Recorder
+	seqA, seqB uint64
+}
+
+// splitState holds the cross-shard wiring of a split pipe.
+type splitState struct {
+	group          *sim.ShardGroup
+	shardA, shardB int
+	kernelB        *sim.Kernel
+	minNs          int64 // latency lower bound registered as lookahead
+}
+
+// hop is the pipe's part of one in-flight send: its direction and, when
+// traced, its span identity. It travels inside the delivery struct, so
+// a traced chain crosses the cross-shard mailbox with its parent intact.
+type hop struct {
 	from    End
-	frame   *Frame
 	spanID  uint64
 	parent  uint64
 	startNs int64
 }
 
+func newPipe(kernel *sim.Kernel, latency sim.Sampler) pipe {
+	if latency == nil {
+		latency = sim.Const(0)
+	}
+	return pipe{kernel: kernel, latency: latency}
+}
+
+// SetRands gives each direction its own latency/loss RNG stream instead
+// of the owning kernel's. Sharded scenarios assign per-entity streams
+// (seeded from the trial seed and the entity's identity) to EVERY link
+// and control channel, so its draw sequence depends only on how much it
+// has carried — not on which shard executes it — which is what keeps
+// output byte-identical across shard counts.
+func (p *pipe) SetRands(a, b *rand.Rand) {
+	p.rngA, p.rngB = a, b
+}
+
+// SetTraceEntity assigns the identity hash for span derivation
+// (networks set it at creation from the endpoint identities).
+func (p *pipe) SetTraceEntity(ent uint64) { p.trEnt = ent }
+
+// SetTraceRecorders wires the per-end span recorders (end A's shard and
+// end B's shard; pass the same recorder twice when unsplit). Sends
+// traverse with a span only while the sending side carries a live trace
+// context, so an un-enabled recorder costs one nil-or-zero check per
+// send.
+func (p *pipe) SetTraceRecorders(a, b *trace.Recorder) {
+	p.trA, p.trB = a, b
+}
+
+// rec is the recorder of the given end's shard.
+func (p *pipe) rec(end End) *trace.Recorder {
+	if end == EndA {
+		return p.trA
+	}
+	return p.trB
+}
+
+// span derives the hop of one send from the given end: the span fields
+// stay zero when the send is outside any traced causal chain.
+func (p *pipe) span(from End) hop {
+	h := hop{from: from}
+	rec := p.rec(from)
+	if rec == nil {
+		return h
+	}
+	if h.parent = rec.Current(); h.parent == 0 {
+		return h
+	}
+	seq := &p.seqA
+	if from == EndB {
+		seq = &p.seqB
+	}
+	*seq++
+	h.spanID = trace.MixID(uint64(trace.KindLink), p.trEnt, uint64(from), *seq)
+	h.startNs = rec.Now()
+	return h
+}
+
+// emitSpan records a traced send's traversal, under the given span name,
+// on the receiving shard's recorder and makes it the current context so
+// the receive path chains under it.
+func (p *pipe) emitSpan(name string, h hop) {
+	rec := p.rec(h.from.other())
+	if rec == nil {
+		return
+	}
+	rec.Emit(trace.Span{
+		ID: h.spanID, Parent: h.parent,
+		Start: h.startNs, End: rec.Now(),
+		Kind: trace.KindLink, Name: name,
+		Entity: p.trEnt, Port: uint32(h.from),
+	})
+	rec.SetCurrent(h.spanID)
+}
+
+// rng selects the RNG stream for a send from the given end.
+func (p *pipe) rng(from End) *rand.Rand {
+	if from == EndA {
+		if p.rngA != nil {
+			return p.rngA
+		}
+	} else if p.rngB != nil {
+		return p.rngB
+	}
+	return p.kernel.Rand()
+}
+
+// lose draws one send's injected loss from r and counts it if it hits.
+// Callers guard it with lossRate > 0, so a lossless send draws only its
+// delay.
+func (p *pipe) lose(from End, r *rand.Rand) bool {
+	if r.Float64() >= p.lossRate {
+		return false
+	}
+	if from == EndA {
+		p.droppedA++
+	} else {
+		p.droppedB++
+	}
+	return true
+}
+
+// post completes a send that survived loss: it draws the delay from r,
+// derives the send's hop into h (a field of arg), and schedules fn(arg)
+// through the group mailbox when split, on the owning kernel otherwise.
+func (p *pipe) post(from End, r *rand.Rand, h *hop, fn func(any), arg any) {
+	delay := p.latency.Sample(r)
+	*h = p.span(from)
+	if s := p.split; s != nil {
+		src, dst := s.shardA, s.shardB
+		if from == EndB {
+			src, dst = dst, src
+		}
+		s.group.Post(src, dst, delay, fn, arg)
+		return
+	}
+	p.kernel.ScheduleArg(delay, fn, arg)
+}
+
+// Split marks the pipe as crossing shards: end A lives on shardA of the
+// group and end B on shardB (with kernelB as B's kernel). Sends are
+// handed across via the group's cross-shard mailbox instead of the local
+// kernel, and the pipe's guaranteed minimum latency is registered as
+// group lookahead. Requires per-direction RNG streams (SetRands) so
+// draws stay off the shard kernels, and a latency sampler with a
+// positive lower bound (sim.MinBounder) — conservative synchronization
+// is impossible without one. Control connections from a central
+// controller shard to pod shards and trunks between pods are the users.
+func (p *pipe) Split(group *sim.ShardGroup, shardA, shardB int, kernelB *sim.Kernel) {
+	if p.split != nil {
+		panic("link: already split")
+	}
+	if p.rngA == nil || p.rngB == nil {
+		panic("link: Split requires per-direction RNGs (SetRands)")
+	}
+	min, ok := sim.SamplerMinBound(p.latency)
+	if !ok || min <= 0 {
+		panic(fmt.Sprintf("link: cross-shard latency %T has no positive lower bound", p.latency))
+	}
+	group.RegisterCrossLatency(min)
+	p.split = &splitState{group: group, shardA: shardA, shardB: shardB, kernelB: kernelB, minNs: int64(min)}
+}
+
+// SetLossRate sets an independent per-send drop probability, clamped to
+// [0, 1], for failure-injection experiments: a degraded control
+// connection, or how many consecutive lost LLDP probes a link survives
+// given Table III's timeout margins.
+func (p *pipe) SetLossRate(rate float64) {
+	p.lossRate = min(max(rate, 0), 1)
+}
+
+// LossRate reports the current injected per-send drop probability.
+func (p *pipe) LossRate() float64 { return p.lossRate }
+
+// Latency reports the current per-send delay sampler.
+func (p *pipe) Latency() sim.Sampler { return p.latency }
+
+// SetLatency swaps the delay sampler. Sends already in flight keep the
+// delay they were sent with; only subsequent sends sample the new
+// distribution. Fault injection wraps the current sampler (e.g. with
+// sim.Scaled) for the duration of a latency spike and restores it after.
+// On a split pipe the replacement must keep a lower bound at least the
+// one registered as group lookahead, and the swap must happen between
+// runs (the field is read concurrently during windows).
+func (p *pipe) SetLatency(s sim.Sampler) {
+	if s == nil {
+		s = sim.Const(0)
+	}
+	if sp := p.split; sp != nil {
+		min, ok := sim.SamplerMinBound(s)
+		if !ok || int64(min) < sp.minNs {
+			panic("link: new latency undercuts the split pipe's registered lookahead")
+		}
+	}
+	p.latency = s
+}
+
+// Dropped reports sends lost to injected loss, both directions summed;
+// on a split pipe call it only between runs.
+func (p *pipe) Dropped() uint64 { return p.droppedA + p.droppedB }
+
+// frameDelivery is the in-flight state of one Link.Send, pooled on an
+// unsplit link so steady-state forwarding does not allocate it per frame.
+type frameDelivery struct {
+	hop
+	l     *Link
+	frame *Frame
+}
+
 // deliverFrame completes a frame traversal. It is a package-level func so
-// scheduling it via sim.ScheduleArg captures no closure; the delivery
-// struct is recycled before ReceiveFrame runs so a synchronous re-send
-// from the receiver can reuse it.
+// scheduling it via sim.ScheduleArg captures no closure. An unsplit link
+// recycles the delivery struct before ReceiveFrame runs, so a synchronous
+// re-send from the receiver can reuse it; a split link's struct was made
+// on the sender's shard and runs on the receiver's, so it stays off the
+// (single-shard) free list. The carrier check always passes on a split
+// link: Send drops while a carrier is down, and SetCarrier panics after
+// Split.
 func deliverFrame(arg any) {
 	d := arg.(*frameDelivery)
-	l, from, f := d.l, d.from, d.frame
-	spanID, parent, startNs := d.spanID, d.parent, d.startNs
-	d.l, d.frame = nil, nil
-	l.free = append(l.free, d)
-	if spanID != 0 {
-		l.emitFrameSpan(from, spanID, parent, startNs)
+	l, f, h := d.l, d.frame, d.hop
+	if l.split == nil {
+		d.l, d.frame = nil, nil
+		l.free = append(l.free, d)
 	}
-	if peer := l.peer(from); peer != nil && l.carrier(from.other()) && l.carrier(from) {
+	if h.spanID != 0 {
+		l.emitSpan("link.frame", h)
+	}
+	if peer := l.peer(h.from); peer != nil && l.carrier(h.from.other()) && l.carrier(h.from) {
 		peer.ReceiveFrame(f)
 		return
 	}
 	f.Release()
 }
 
-// deliverFrameSplit is the cross-shard variant: the delivery struct was
-// allocated on the sender's shard and executes on the receiver's, so it
-// is never recycled into the link's (single-shard) free list.
-func deliverFrameSplit(arg any) {
-	d := arg.(*frameDelivery)
-	if d.spanID != 0 {
-		d.l.emitFrameSpan(d.from, d.spanID, d.parent, d.startNs)
-	}
-	if peer := d.l.peer(d.from); peer != nil {
-		peer.ReceiveFrame(d.frame)
-		return
-	}
-	d.frame.Release()
-}
-
-// splitState holds the cross-shard wiring of a Link or Channel whose two
-// ends live on different shards of a sim.ShardGroup. A split link's
-// shared fields become effectively read-only (SetCarrier, SetLossRate
-// and narrowing SetLatency panic); mutable per-send state is either
-// owned per direction (drop counters, RNG streams) or freshly allocated
-// (delivery structs), so both shard goroutines can send concurrently.
-type splitState struct {
-	group              *sim.ShardGroup
-	shardA, shardB     int
-	kernelB            *sim.Kernel
-	minNs              int64 // latency lower bound registered as lookahead
-	droppedA, droppedB uint64
-}
-
-func (s *splitState) route(from End) (src, dst int) {
-	if from == EndA {
-		return s.shardA, s.shardB
-	}
-	return s.shardB, s.shardA
-}
-
 // Link is a full-duplex point-to-point dataplane link.
 type Link struct {
-	kernel   *sim.Kernel
-	latency  sim.Sampler
-	lossRate float64
-	a, b     Attachment
-	upA      bool
-	upB      bool
-	dropped  uint64
-	free     []*frameDelivery
-	rngA     *rand.Rand
-	rngB     *rand.Rand
-	split    *splitState
-
-	// Trace wiring: the link's identity hash plus one recorder per end
-	// (the recorder of the shard that end lives on; identical for
-	// unsplit links). Per-direction sequence counters number traced
-	// sends, so a frame's span ID depends only on the link's identity
-	// and its position in that direction's traced traffic — never on
-	// shard placement.
-	trEnt      uint64
-	trA, trB   *trace.Recorder
-	seqA, seqB uint64
+	pipe
+	a, b Attachment
+	upA  bool
+	upB  bool
+	free []*frameDelivery
 
 	// Fault watching (see OnFault): the registered observer and the
 	// deliverability state it last saw, so only transitions notify.
@@ -171,10 +353,7 @@ type Link struct {
 // NewLink creates a link whose per-frame one-way delay is drawn from
 // latency. Both ends start with carrier up once attached.
 func NewLink(kernel *sim.Kernel, latency sim.Sampler) *Link {
-	if latency == nil {
-		latency = sim.Const(0)
-	}
-	return &Link{kernel: kernel, latency: latency, upA: true, upB: true}
+	return &Link{pipe: newPipe(kernel, latency), upA: true, upB: true}
 }
 
 // Attach connects an attachment to one end of the link.
@@ -203,130 +382,11 @@ func (l *Link) carrier(end End) bool {
 // CarrierUp reports whether the transceiver on the given end is up.
 func (l *Link) CarrierUp(end End) bool { return l.carrier(end) }
 
-// SetRands gives each direction its own latency/loss RNG stream instead
-// of the owning kernel's. Sharded scenarios assign per-link streams
-// (seeded from the trial seed and the link's identity) to EVERY link, so
-// a link's draw sequence depends only on how many frames it has carried
-// — not on which shard executes it — which is what keeps output
-// byte-identical across shard counts.
-func (l *Link) SetRands(a, b *rand.Rand) {
-	l.rngA, l.rngB = a, b
-}
-
-// SetTraceEntity assigns the link's identity hash for span derivation
-// (networks set it at creation from the link's endpoint identities).
-func (l *Link) SetTraceEntity(ent uint64) { l.trEnt = ent }
-
-// SetTraceRecorders wires the per-end span recorders (end A's shard and
-// end B's shard; pass the same recorder twice for an unsplit link).
-// Frames traverse with a span only while the sending side carries a
-// live trace context, so an un-enabled recorder costs one nil-or-zero
-// check per send.
-func (l *Link) SetTraceRecorders(a, b *trace.Recorder) {
-	l.trA, l.trB = a, b
-}
-
-// recFrom is the sending side's recorder; recTo the receiving side's.
-func (l *Link) recFrom(from End) *trace.Recorder {
-	if from == EndA {
-		return l.trA
-	}
-	return l.trB
-}
-
-func (l *Link) recTo(from End) *trace.Recorder {
-	if from == EndA {
-		return l.trB
-	}
-	return l.trA
-}
-
-// frameSpan derives the span identity of one traced send, or zeros when
-// the send is outside any traced causal chain.
-func (l *Link) frameSpan(from End) (spanID, parent uint64, startNs int64) {
-	rec := l.recFrom(from)
-	if rec == nil {
-		return 0, 0, 0
-	}
-	parent = rec.Current()
-	if parent == 0 {
-		return 0, 0, 0
-	}
-	var seq uint64
-	if from == EndA {
-		l.seqA++
-		seq = l.seqA
-	} else {
-		l.seqB++
-		seq = l.seqB
-	}
-	return trace.MixID(uint64(trace.KindLink), l.trEnt, uint64(from), seq), parent, rec.Now()
-}
-
-// emitFrameSpan records the wire traversal on the receiving shard's
-// recorder and makes it the current context so the receive path chains
-// under it.
-func (l *Link) emitFrameSpan(from End, id, parent uint64, startNs int64) {
-	rec := l.recTo(from)
-	if rec == nil {
-		return
-	}
-	rec.Emit(trace.Span{
-		ID: id, Parent: parent,
-		Start: startNs, End: rec.Now(),
-		Kind: trace.KindLink, Name: "link.frame",
-		Entity: l.trEnt, Port: uint32(from),
-	})
-	rec.SetCurrent(id)
-}
-
-// rng selects the RNG stream for a send from the given end.
-func (l *Link) rng(from End) *rand.Rand {
-	if from == EndA {
-		if l.rngA != nil {
-			return l.rngA
-		}
-	} else if l.rngB != nil {
-		return l.rngB
-	}
-	return l.kernel.Rand()
-}
-
-// Split marks the link as crossing shards: end A lives on shardA of the
-// group and end B on shardB (with kernelB as B's kernel). Frames are
-// handed across via the group's cross-shard mailbox instead of the local
-// kernel, and the link's guaranteed minimum latency is registered as
-// group lookahead. Requires per-direction RNG streams (SetRands) so
-// draws stay off the shard kernels, and a latency sampler with a
-// positive lower bound (sim.MinBounder) — conservative synchronization
-// is impossible without one.
-func (l *Link) Split(group *sim.ShardGroup, shardA, shardB int, kernelB *sim.Kernel) {
-	if l.split != nil {
-		panic("link: already split")
-	}
-	if l.rngA == nil || l.rngB == nil {
-		panic("link: Split requires per-direction RNGs (SetRands)")
-	}
-	min, ok := sim.SamplerMinBound(l.latency)
-	if !ok || min <= 0 {
-		panic(fmt.Sprintf("link: cross-shard latency %T has no positive lower bound", l.latency))
-	}
-	group.RegisterCrossLatency(min)
-	l.split = &splitState{group: group, shardA: shardA, shardB: shardB, kernelB: kernelB, minNs: int64(min)}
-}
-
-// SetLossRate sets an independent per-frame drop probability, for
-// failure-injection experiments (e.g. how many consecutive lost LLDP
-// probes a link survives given Table III's timeout margins).
+// SetLossRate sets an independent per-frame drop probability, clamped to
+// [0, 1], and notifies the OnFault observer when the link's
+// deliverability transitions.
 func (l *Link) SetLossRate(p float64) {
-	switch {
-	case p < 0:
-		l.lossRate = 0
-	case p > 1:
-		l.lossRate = 1
-	default:
-		l.lossRate = p
-	}
+	l.pipe.SetLossRate(p)
 	l.notifyFault()
 }
 
@@ -360,53 +420,6 @@ func (l *Link) notifyFault() {
 	}
 }
 
-// Dropped reports frames lost to injected loss. On a split link the
-// per-direction counts are summed; call it only between runs.
-func (l *Link) Dropped() uint64 {
-	if s := l.split; s != nil {
-		return l.dropped + s.droppedA + s.droppedB
-	}
-	return l.dropped
-}
-
-func (l *Link) noteDrop(from End) {
-	if s := l.split; s != nil {
-		if from == EndA {
-			s.droppedA++
-		} else {
-			s.droppedB++
-		}
-		return
-	}
-	l.dropped++
-}
-
-// LossRate reports the current injected per-frame drop probability.
-func (l *Link) LossRate() float64 { return l.lossRate }
-
-// Latency reports the link's current per-frame delay sampler.
-func (l *Link) Latency() sim.Sampler { return l.latency }
-
-// SetLatency swaps the link's delay sampler. Frames already in flight keep
-// the delay they were sent with; only subsequent sends sample the new
-// distribution. Fault injection wraps the current sampler (e.g. with
-// sim.Scaled) for the duration of a latency spike and restores it after.
-// On a split link the replacement must keep a lower bound at least the
-// one registered as group lookahead, and the swap must happen between
-// runs (the field is read concurrently during windows).
-func (l *Link) SetLatency(s sim.Sampler) {
-	if s == nil {
-		s = sim.Const(0)
-	}
-	if sp := l.split; sp != nil {
-		min, ok := sim.SamplerMinBound(s)
-		if !ok || int64(min) < sp.minNs {
-			panic("link: new latency undercuts the split link's registered lookahead")
-		}
-	}
-	l.latency = s
-}
-
 // Send transmits a frame from the given end. The frame is delivered to
 // the peer after the link's sampled latency. Frames are dropped (as on a
 // real wire) if either transceiver is down at send time, if the
@@ -420,29 +433,19 @@ func (l *Link) Send(from End, f *Frame) {
 		return
 	}
 	r := l.rng(from)
-	if l.lossRate > 0 && r.Float64() < l.lossRate {
-		l.noteDrop(from)
+	if l.lossRate > 0 && l.lose(from, r) {
 		f.Release()
 		return
 	}
-	delay := l.latency.Sample(r)
-	spanID, parent, startNs := l.frameSpan(from)
-	if s := l.split; s != nil {
-		src, dst := s.route(from)
-		s.group.Post(src, dst, delay, deliverFrameSplit,
-			&frameDelivery{l: l, from: from, frame: f, spanID: spanID, parent: parent, startNs: startNs})
-		return
-	}
 	var d *frameDelivery
-	if n := len(l.free); n > 0 {
+	if n := len(l.free); n > 0 && l.split == nil {
 		d = l.free[n-1]
 		l.free = l.free[:n-1]
 	} else {
 		d = &frameDelivery{}
 	}
-	d.l, d.from, d.frame = l, from, f
-	d.spanID, d.parent, d.startNs = spanID, parent, startNs
-	l.kernel.ScheduleArg(delay, deliverFrame, d)
+	d.l, d.frame = l, f
+	l.post(from, r, &d.hop, deliverFrame, d)
 }
 
 // SetCarrier raises or lowers the transceiver on one end (a host bringing
@@ -504,82 +507,46 @@ func (e *Endpoint) PeerCarrierUp() bool { return e.link.CarrierUp(e.end.other())
 // the same injected loss and latency knobs so control channels can be
 // degraded in fault-injection experiments.
 type Channel struct {
-	kernel   *sim.Kernel
-	latency  sim.Sampler
-	lossRate float64
-	dropped  uint64
-	onA      func([]byte)
-	onB      func([]byte)
-	free     []*msgDelivery
-	rngA     *rand.Rand
-	rngB     *rand.Rand
-	split    *splitState
-
-	// Trace wiring; see the Link fields of the same names.
-	trEnt      uint64
-	trA, trB   *trace.Recorder
-	seqA, seqB uint64
+	pipe
+	onA  func([]byte)
+	onB  func([]byte)
+	free []*msgDelivery
 }
 
-// msgDelivery is the pooled in-flight state of one Channel.Send. Like
-// frameDelivery, the span fields carry a traced chain's identity across
-// the shard boundary.
+// msgDelivery is the in-flight state of one channel send, pooled like
+// frameDelivery.
 type msgDelivery struct {
-	c       *Channel
-	from    End
-	buf     []byte
-	spanID  uint64
-	parent  uint64
-	startNs int64
+	hop
+	c   *Channel
+	buf []byte
 }
 
 // deliverMsg completes a channel send; like deliverFrame it recycles the
-// delivery struct before invoking the handler.
+// delivery struct, on an unsplit channel only, before invoking the
+// handler.
 func deliverMsg(arg any) {
 	d := arg.(*msgDelivery)
-	c, from, buf := d.c, d.from, d.buf
-	spanID, parent, startNs := d.spanID, d.parent, d.startNs
-	d.c, d.buf = nil, nil
-	c.free = append(c.free, d)
-	if spanID != 0 {
-		c.emitMsgSpan(from, spanID, parent, startNs)
+	c, buf, h := d.c, d.buf, d.hop
+	if c.split == nil {
+		d.c, d.buf = nil, nil
+		c.free = append(c.free, d)
 	}
-	var fn func([]byte)
-	if from == EndA {
+	if h.spanID != 0 {
+		c.emitSpan("chan.msg", h)
+	}
+	fn := c.onA
+	if h.from == EndA {
 		fn = c.onB
-	} else {
-		fn = c.onA
 	}
 	if fn != nil {
 		fn(buf)
 	}
 }
 
-// deliverMsgSplit is the cross-shard variant of deliverMsg; like
-// deliverFrameSplit it never touches the single-shard free list.
-func deliverMsgSplit(arg any) {
-	d := arg.(*msgDelivery)
-	if d.spanID != 0 {
-		d.c.emitMsgSpan(d.from, d.spanID, d.parent, d.startNs)
-	}
-	var fn func([]byte)
-	if d.from == EndA {
-		fn = d.c.onB
-	} else {
-		fn = d.c.onA
-	}
-	if fn != nil {
-		fn(d.buf)
-	}
-}
-
 // NewChannel creates a bidirectional message pipe with the given one-way
 // latency distribution.
 func NewChannel(kernel *sim.Kernel, latency sim.Sampler) *Channel {
-	if latency == nil {
-		latency = sim.Const(0)
-	}
-	return &Channel{kernel: kernel, latency: latency}
+	return &Channel{pipe: newPipe(kernel, latency)}
 }
 
 // OnReceive registers the message handler for one end.
@@ -591,205 +558,43 @@ func (c *Channel) OnReceive(end End, fn func([]byte)) {
 	}
 }
 
-// SetLossRate sets an independent per-message drop probability on the
-// channel, modeling a degraded control connection.
-func (c *Channel) SetLossRate(p float64) {
-	switch {
-	case p < 0:
-		c.lossRate = 0
-	case p > 1:
-		c.lossRate = 1
-	default:
-		c.lossRate = p
-	}
-}
-
-// SetRands gives each channel direction its own RNG stream; see
-// Link.SetRands for the shard-count-invariance rationale.
-func (c *Channel) SetRands(a, b *rand.Rand) {
-	c.rngA, c.rngB = a, b
-}
-
-// SetTraceEntity assigns the channel's identity hash for span
-// derivation; see Link.SetTraceEntity.
-func (c *Channel) SetTraceEntity(ent uint64) { c.trEnt = ent }
-
-// SetTraceRecorders wires the per-end span recorders; see
-// Link.SetTraceRecorders.
-func (c *Channel) SetTraceRecorders(a, b *trace.Recorder) {
-	c.trA, c.trB = a, b
-}
-
-func (c *Channel) recFrom(from End) *trace.Recorder {
-	if from == EndA {
-		return c.trA
-	}
-	return c.trB
-}
-
-func (c *Channel) recTo(from End) *trace.Recorder {
-	if from == EndA {
-		return c.trB
-	}
-	return c.trA
-}
-
-// msgSpan derives the span identity of one traced channel send; see
-// Link.frameSpan.
-func (c *Channel) msgSpan(from End) (spanID, parent uint64, startNs int64) {
-	rec := c.recFrom(from)
-	if rec == nil {
-		return 0, 0, 0
-	}
-	parent = rec.Current()
-	if parent == 0 {
-		return 0, 0, 0
-	}
-	var seq uint64
-	if from == EndA {
-		c.seqA++
-		seq = c.seqA
-	} else {
-		c.seqB++
-		seq = c.seqB
-	}
-	return trace.MixID(uint64(trace.KindLink), c.trEnt, uint64(from), seq), parent, rec.Now()
-}
-
-// emitMsgSpan records the control-channel traversal on the receiving
-// shard's recorder; see Link.emitFrameSpan.
-func (c *Channel) emitMsgSpan(from End, id, parent uint64, startNs int64) {
-	rec := c.recTo(from)
-	if rec == nil {
-		return
-	}
-	rec.Emit(trace.Span{
-		ID: id, Parent: parent,
-		Start: startNs, End: rec.Now(),
-		Kind: trace.KindLink, Name: "chan.msg",
-		Entity: c.trEnt, Port: uint32(from),
-	})
-	rec.SetCurrent(id)
-}
-
-func (c *Channel) rng(from End) *rand.Rand {
-	if from == EndA {
-		if c.rngA != nil {
-			return c.rngA
-		}
-	} else if c.rngB != nil {
-		return c.rngB
-	}
-	return c.kernel.Rand()
-}
-
-// Split marks the channel as crossing shards; see Link.Split. Control
-// connections from a central controller shard to pod shards are the main
-// user.
-func (c *Channel) Split(group *sim.ShardGroup, shardA, shardB int, kernelB *sim.Kernel) {
-	if c.split != nil {
-		panic("link: channel already split")
-	}
-	if c.rngA == nil || c.rngB == nil {
-		panic("link: Split requires per-direction RNGs (SetRands)")
-	}
-	min, ok := sim.SamplerMinBound(c.latency)
-	if !ok || min <= 0 {
-		panic(fmt.Sprintf("link: cross-shard latency %T has no positive lower bound", c.latency))
-	}
-	group.RegisterCrossLatency(min)
-	c.split = &splitState{group: group, shardA: shardA, shardB: shardB, kernelB: kernelB, minNs: int64(min)}
-}
-
-// kernelFor reports the kernel owning the given end's shard.
-func (c *Channel) kernelFor(from End) *sim.Kernel {
-	if s := c.split; s != nil && from == EndB {
-		return s.kernelB
-	}
-	return c.kernel
-}
-
-// Dropped reports messages lost to injected loss. On a split channel the
-// per-direction counts are summed; call it only between runs.
-func (c *Channel) Dropped() uint64 {
-	if s := c.split; s != nil {
-		return c.dropped + s.droppedA + s.droppedB
-	}
-	return c.dropped
-}
-
-func (c *Channel) noteDrop(from End) {
-	if s := c.split; s != nil {
-		if from == EndA {
-			s.droppedA++
-		} else {
-			s.droppedB++
-		}
-		return
-	}
-	c.dropped++
-}
-
-// LossRate reports the current injected per-message drop probability.
-func (c *Channel) LossRate() float64 { return c.lossRate }
-
-// Latency reports the channel's current per-message delay sampler.
-func (c *Channel) Latency() sim.Sampler { return c.latency }
-
-// SetLatency swaps the channel's delay sampler. Messages already in flight
-// keep the delay they were sent with. On a split channel the replacement
-// must keep a lower bound at least the registered lookahead and the swap
-// must happen between runs.
-func (c *Channel) SetLatency(s sim.Sampler) {
-	if s == nil {
-		s = sim.Const(0)
-	}
-	if sp := c.split; sp != nil {
-		min, ok := sim.SamplerMinBound(s)
-		if !ok || int64(min) < sp.minNs {
-			panic("link: new latency undercuts the split channel's registered lookahead")
-		}
-	}
-	c.latency = s
-}
-
 // Send delivers a message to the other end after the channel latency.
 // Messages sent before the receiving handler is registered are dropped.
 // data is copied; the caller may reuse its buffer once Send returns, and
 // the receiving handler owns the delivered copy.
 func (c *Channel) Send(from End, data []byte) {
-	r := c.rng(from)
-	if c.lossRate > 0 && r.Float64() < c.lossRate {
-		c.noteDrop(from)
-		return
-	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	delay := c.latency.Sample(r)
-	spanID, parent, startNs := c.msgSpan(from)
-	if s := c.split; s != nil {
-		src, dst := s.route(from)
-		s.group.Post(src, dst, delay, deliverMsgSplit,
-			&msgDelivery{c: c, from: from, buf: buf, spanID: spanID, parent: parent, startNs: startNs})
+	c.send(from, buf)
+}
+
+// send is Send for a buffer the channel takes ownership of.
+func (c *Channel) send(from End, buf []byte) {
+	r := c.rng(from)
+	if c.lossRate > 0 && c.lose(from, r) {
 		return
 	}
 	var d *msgDelivery
-	if n := len(c.free); n > 0 {
+	if n := len(c.free); n > 0 && c.split == nil {
 		d = c.free[n-1]
 		c.free = c.free[:n-1]
 	} else {
 		d = &msgDelivery{}
 	}
-	d.c, d.from, d.buf = c, from, buf
-	d.spanID, d.parent, d.startNs = spanID, parent, startNs
-	c.kernel.ScheduleArg(delay, deliverMsg, d)
+	d.c, d.buf = c, buf
+	c.post(from, r, &d.hop, deliverMsg, d)
 }
 
 // SendAfter behaves like Send with an extra fixed delay prepended, used to
 // model processing time at the sender (e.g. 802.11 encode/decode on an
-// out-of-band relay). The delay elapses on the sender's own shard.
+// out-of-band relay). The delay elapses on the sender's own shard. data
+// is copied once, now.
 func (c *Channel) SendAfter(from End, extra time.Duration, data []byte) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	c.kernelFor(from).Schedule(extra, func() { c.Send(from, buf) })
+	k := c.kernel
+	if s := c.split; s != nil && from == EndB {
+		k = s.kernelB
+	}
+	k.Schedule(extra, func() { c.send(from, buf) })
 }

@@ -101,14 +101,17 @@ type Network struct {
 	traced  []tracedEntity
 }
 
-// traceable is a link or a channel: an entity with a span recorder per end.
-type traceable interface {
+// pipe is a link or a channel as the network wires it.
+type pipe interface {
+	SetRands(a, b *rand.Rand)
+	SetTraceEntity(ent uint64)
 	SetTraceRecorders(a, b *trace.Recorder)
+	Split(group *sim.ShardGroup, shardA, shardB int, kernelB *sim.Kernel)
 }
 
 // tracedEntity is a link or channel and the shards of its two ends.
 type tracedEntity struct {
-	e      traceable
+	e      pipe
 	sA, sB int32
 }
 
@@ -272,12 +275,20 @@ func (n *Network) EnableTrace(capacity int) *trace.Recorder {
 	return n.tracers[0]
 }
 
-// wireTrace records a link or channel's end shards for EnableTrace and,
-// if tracing is already on, wires its recorders now.
-func (n *Network) wireTrace(e traceable, sA, sB int) {
-	n.traced = append(n.traced, tracedEntity{e: e, sA: int32(sA), sB: int32(sB)})
+// wire sets up a link or channel whose ends live on shards sA and sB and
+// whose key is a seed-derivation tag followed by the entity's identity:
+// its RNG streams and trace entity from the key, its end shards recorded
+// for EnableTrace (and its recorders wired now if tracing is already on),
+// and a Split when the ends are on different shards.
+func (n *Network) wire(p pipe, sA, sB int, key ...uint64) {
+	p.SetRands(n.rands(key[0], key[1:]...))
+	p.SetTraceEntity(uint64(sim.MixSeed(0, key...)))
+	n.traced = append(n.traced, tracedEntity{e: p, sA: int32(sA), sB: int32(sB)})
 	if n.tracers != nil {
-		e.SetTraceRecorders(n.tracers[sA], n.tracers[sB])
+		p.SetTraceRecorders(n.tracers[sA], n.tracers[sB])
+	}
+	if sA != sB {
+		p.Split(n.Group, sA, sB, n.kernels[sB])
 	}
 }
 
@@ -311,14 +322,9 @@ func (n *Network) AddSwitch(dpid uint64, controlLatency sim.Sampler) *dataplane.
 	s := n.ShardOf(dpid)
 	sw := dataplane.NewSwitch(n.kernels[s], dpid, dataplane.WithMetrics(n.regs[s]))
 	ch := link.NewChannel(n.kernels[s], controlLatency)
-	ch.SetRands(n.rands(shardTagControl, dpid))
-	ch.SetTraceEntity(uint64(sim.MixSeed(0, shardTagControl, dpid)))
-	n.wireTrace(ch, s, 0)
+	n.wire(ch, s, 0, shardTagControl, dpid)
 	if n.tracers != nil {
 		sw.SetTracer(n.tracers[s])
-	}
-	if s != 0 {
-		ch.Split(n.Group, s, 0, n.kernels[0])
 	}
 	sw.SetControlSender(func(b []byte) { ch.Send(link.EndA, b) })
 	ch.OnReceive(link.EndA, sw.HandleControl)
@@ -405,9 +411,7 @@ func (n *Network) AddHost(name string, mac, ip string, dpid uint64, port uint32,
 	}
 	s := n.ShardOf(dpid)
 	l := link.NewLink(n.kernels[s], latency)
-	l.SetRands(n.rands(shardTagHostLink, dpid, uint64(port)))
-	l.SetTraceEntity(uint64(sim.MixSeed(0, shardTagHostLink, dpid, uint64(port))))
-	n.wireTrace(l, s, s)
+	n.wire(l, s, s, shardTagHostLink, dpid, uint64(port))
 	sw.AddPort(port, l, link.EndA, nil)
 	h := dataplane.NewHost(n.kernels[s], name, packet.MustMAC(mac), packet.MustIPv4(ip), l, link.EndB, opts...)
 	n.hosts[name] = h
@@ -447,11 +451,8 @@ func (n *Network) AddTrunk(dpidA uint64, portA uint32, dpidB uint64, portB uint3
 	}
 	sA, sB := n.ShardOf(dpidA), n.ShardOf(dpidB)
 	l := link.NewLink(n.kernels[sA], latency)
-	l.SetRands(n.rands(shardTagTrunk, dpidA, uint64(portA), dpidB, uint64(portB)))
-	l.SetTraceEntity(uint64(sim.MixSeed(0, shardTagTrunk, dpidA, uint64(portA), dpidB, uint64(portB))))
-	n.wireTrace(l, sA, sB)
+	n.wire(l, sA, sB, shardTagTrunk, dpidA, uint64(portA), dpidB, uint64(portB))
 	if sA != sB {
-		l.Split(n.Group, sA, sB, n.kernels[sB])
 		n.crossTrunks++
 	}
 	swA.AddPort(portA, l, link.EndA, nil)
