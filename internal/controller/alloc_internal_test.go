@@ -58,10 +58,10 @@ func TestEvictOneLinkAllocatesOnce(t *testing.T) {
 // TestLLDPRoundTripAllocations drives one whole LLDP round trip — the
 // controller emits a probe, the PacketOut crosses the control channel,
 // the switch forwards it over a trunk, the far switch punts it back as a
-// PacketIn and the controller accepts the link — and pins its
-// allocations at the two control-channel copies, one per direction:
-// link.Channel.Send copies every message at ingress, and every decoder
-// downstream works in place on that copy.
+// PacketIn and the controller accepts the link — and requires it to
+// allocate nothing: link.Channel.Send copies each message into a
+// recycled delivery buffer, and every decoder downstream works in place
+// on that copy.
 func TestLLDPRoundTripAllocations(t *testing.T) {
 	k, c := twoSwitchTrunk(t)
 	if err := k.RunFor(time.Second); err != nil {
@@ -82,8 +82,8 @@ func TestLLDPRoundTripAllocations(t *testing.T) {
 	if seen := c.links[l]; k.Now().Sub(seen) > 100*time.Millisecond {
 		t.Fatalf("link last refreshed at %v, now %v: the probes did not return", seen, k.Now())
 	}
-	if allocs > 2 {
-		t.Errorf("one LLDP round trip allocates %v objects, want at most 2 (the two Channel.Send copies)", allocs)
+	if allocs != 0 {
+		t.Errorf("one LLDP round trip allocates %v objects, want 0", allocs)
 	}
 }
 
@@ -110,11 +110,12 @@ func twoSwitchTrunk(t *testing.T) (*sim.Kernel, *Controller) {
 
 // TestControlRTTProbeAllocations drives one control-RTT probe — the
 // PacketOut carrying the marker frame, the switch bouncing it back as a
-// PacketIn, and the controller resolving it — and pins its allocations
-// at the two control-channel copies, as for an LLDP round trip: the
-// marker frame is built in controller scratch, the pending record is
-// recycled and the timeout is scheduled closure-free. TopoGuard+'s LLI
-// sends one such probe per switch every 2 s.
+// PacketIn, and the controller resolving it — and requires it to
+// allocate nothing, as for an LLDP round trip: the marker frame is built
+// in controller scratch, both control messages are copied into recycled
+// delivery buffers, the pending record is recycled and the timeout is
+// scheduled closure-free. TopoGuard+'s LLI sends one such probe per
+// switch every 2 s.
 func TestControlRTTProbeAllocations(t *testing.T) {
 	k, c := twoSwitchTrunk(t)
 	if err := k.RunFor(time.Second); err != nil {
@@ -140,7 +141,7 @@ func TestControlRTTProbeAllocations(t *testing.T) {
 	if n := c.PendingProbes().PathProbes; n != 0 {
 		t.Fatalf("%d probes left pending", n)
 	}
-	if allocs > 2 {
-		t.Errorf("one control-RTT probe allocates %v objects, want at most 2 (the two Channel.Send copies)", allocs)
+	if allocs != 0 {
+		t.Errorf("one control-RTT probe allocates %v objects, want 0", allocs)
 	}
 }

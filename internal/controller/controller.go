@@ -349,7 +349,7 @@ type Conn struct {
 // Handle method as the receive callback of the same channel. send must
 // not retain the byte slice past the call: the connection marshals every
 // message into one reused scratch buffer (link.Channel ends satisfy this
-// because Channel.Send copies at ingress).
+// because Channel.Send copies each message when it is sent).
 func (c *Controller) Connect(send func([]byte)) *Conn {
 	conn := &Conn{ctl: c, send: send, ports: make(map[uint32]openflow.PortDesc)}
 	c.pending = append(c.pending, conn)
@@ -369,9 +369,9 @@ func (conn *Conn) sendMsg(m openflow.Message) uint32 {
 // DPID reports the switch's datapath id (0 until the handshake finishes).
 func (conn *Conn) DPID() uint64 { return conn.dpid }
 
-// Handle processes one OpenFlow message arriving from the switch. The
-// connection takes ownership of data and decodes it in place, so the
-// caller must never write data again.
+// Handle processes one OpenFlow message arriving from the switch. It
+// decodes data in place and is done with it when it returns, so the
+// caller must not write data during the call and may reuse it after.
 func (conn *Conn) Handle(data []byte) {
 	xid, m, err := conn.dec.Decode(data)
 	if err != nil {

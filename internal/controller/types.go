@@ -133,6 +133,9 @@ type PacketInEvent struct {
 	DPID   uint64
 	InPort uint32
 	Reason uint8
+	// Data is the punted frame. It aliases the delivered control message,
+	// so it is valid only while the event is dispatched: a module that
+	// keeps bytes copies them.
 	Data   []byte
 	Eth    *packet.Ethernet
 	Fields openflow.Fields

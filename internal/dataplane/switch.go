@@ -280,8 +280,9 @@ func (s *Switch) Port(no uint32) *Port { return s.ports[no] }
 // SetControlSender wires the switch's upstream control-plane transmit
 // function (typically a link.Channel end). fn must not retain the byte
 // slice past the call: the switch marshals every message into one reused
-// scratch buffer. Channel ends satisfy this (Channel.Send copies at
-// ingress), as do senders that decode or copy synchronously.
+// scratch buffer. Channel ends satisfy this (Channel.Send copies each
+// message when it is sent), as do senders that decode or copy
+// synchronously.
 func (s *Switch) SetControlSender(fn func([]byte)) { s.sendControl = fn }
 
 // sendMarshaled marshals m into the transmit scratch buffer and hands it
@@ -388,11 +389,11 @@ func (s *Switch) forward(pending, next *Port, f *link.Frame) *Port {
 
 // HandleControl processes one OpenFlow message arriving from the
 // controller. Malformed messages are dropped, as a real agent drops
-// undecodable control traffic. The switch takes ownership of data: it is
-// decoded in place, so the caller must never write data again. A
-// PacketOut body is copied into a fresh pooled wire frame, so the
-// dataplane never aliases the control message; its first switch hop
-// parses it.
+// undecodable control traffic. data is decoded in place and the switch
+// is done with it when HandleControl returns, so the caller must not
+// write data during the call and may reuse it after. A PacketOut body
+// is copied into a fresh pooled wire frame, so the dataplane never
+// aliases the control message; its first switch hop parses it.
 func (s *Switch) HandleControl(data []byte) {
 	xid, m, err := s.dec.Decode(data)
 	if err != nil {

@@ -12,11 +12,11 @@ import (
 	"sdntamper/internal/sim"
 )
 
-// TestChannelSendAfterCopiesOnce: SendAfter copies the message once and
-// the scheduled send takes that copy over, so on a warm channel a
-// SendAfter and its delivery allocate the copy and the scheduled closure
-// only; a Send and its delivery allocate the copy alone.
-func TestChannelSendAfterCopiesOnce(t *testing.T) {
+// TestChannelSendAllocatesNothing: on a warm channel a Send or a
+// SendAfter copies the message into a recycled delivery's buffer and
+// schedules a named function, so neither the send nor its delivery
+// allocates.
+func TestChannelSendAllocatesNothing(t *testing.T) {
 	k := sim.New()
 	c := NewChannel(k, sim.Const(time.Millisecond))
 	c.OnReceive(EndB, func([]byte) {})
@@ -24,10 +24,9 @@ func TestChannelSendAfterCopiesOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		send func()
-		max  float64
 	}{
-		{"Send", func() { c.Send(EndA, msg) }, 1},
-		{"SendAfter", func() { c.SendAfter(EndA, time.Millisecond, msg) }, 2},
+		{"Send", func() { c.Send(EndA, msg) }},
+		{"SendAfter", func() { c.SendAfter(EndA, time.Millisecond, msg) }},
 	} {
 		round := func() {
 			tc.send()
@@ -36,8 +35,8 @@ func TestChannelSendAfterCopiesOnce(t *testing.T) {
 			}
 		}
 		round() // warm the delivery free list and the event queue
-		if allocs := testing.AllocsPerRun(100, round); allocs > tc.max {
-			t.Errorf("%s and its delivery: %v allocs, want <= %v", tc.name, allocs, tc.max)
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			t.Errorf("%s and its delivery: %v allocs, want 0", tc.name, allocs)
 		}
 	}
 }

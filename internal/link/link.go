@@ -61,14 +61,25 @@ func (e End) other() End {
 // match tuple parsed from its bytes (Frame.Fields) is computed at the
 // first switch that reads it and travels with it to its last hop: a copy
 // carries it too, and NewFrame clears it, so a recycled frame never keeps
-// a stale tuple. Channel.Send keeps copy-at-ingress: control-plane
-// senders marshal into reused scratch buffers, so the channel copies the
-// message when it is sent and the receiver owns the delivered copy
-// outright. The in-flight delivery bookkeeping structs are recycled
+// a stale tuple. The in-flight delivery bookkeeping structs are recycled
 // through per-link and per-channel free lists on unsplit links and
 // channels only (one kernel runs both ends, so no locking); a split one
 // allocates every delivery afresh, because the struct is made on the
 // sending shard and consumed on the receiving one.
+//
+// A control message is copied once, when it is sent: control-plane
+// senders marshal into reused scratch buffers, so Channel.Send copies the
+// message into its delivery's buffer and the sender may reuse its own at
+// once. On an unsplit channel that buffer is kept across the delivery
+// struct's reuse, so steady-state control traffic allocates nothing. The
+// delivered message is valid only during the handler call: the delivery
+// returns to the free list once the handler returns (so a handler that
+// sends on the same channel never gets back the buffer it is reading),
+// and the next send overwrites it. A receiver that keeps bytes past its
+// handler copies them. Under the race detector a delivered message is
+// overwritten with 0xdd once its handler returns, as a released frame
+// is, so a receiver that keeps one breaks a byte-identity or fingerprint
+// test instead of passing silently.
 
 // pipe is the delivery core that Link and Channel share: a full-duplex
 // path whose sends draw injected loss and a one-way delay from a
@@ -514,23 +525,50 @@ type Channel struct {
 }
 
 // msgDelivery is the in-flight state of one channel send, pooled like
-// frameDelivery.
+// frameDelivery. On an unsplit channel buf keeps its backing array across
+// reuse, so the message copy lands in recycled memory.
 type msgDelivery struct {
 	hop
 	c   *Channel
 	buf []byte
 }
 
-// deliverMsg completes a channel send; like deliverFrame it recycles the
-// delivery struct, on an unsplit channel only, before invoking the
-// handler.
-func deliverMsg(arg any) {
-	d := arg.(*msgDelivery)
-	c, buf, h := d.c, d.buf, d.hop
+// delivery returns a delivery struct holding a copy of data: a recycled
+// one on an unsplit channel, a fresh one on a split channel (made on the
+// sending shard, consumed on the receiving one).
+func (c *Channel) delivery(data []byte) *msgDelivery {
+	var d *msgDelivery
+	if n := len(c.free); n > 0 && c.split == nil {
+		d = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		d = &msgDelivery{c: c}
+	}
+	d.buf = append(d.buf[:0], data...)
+	return d
+}
+
+// recycle ends a delivery: under the race detector its message is
+// scrubbed, and on an unsplit channel the struct and its buffer return to
+// the free list.
+func (c *Channel) recycle(d *msgDelivery) {
+	if scrubReleased {
+		for i := range d.buf {
+			d.buf[i] = 0xdd
+		}
+	}
 	if c.split == nil {
-		d.c, d.buf = nil, nil
 		c.free = append(c.free, d)
 	}
+}
+
+// deliverMsg completes a channel send. It is a package-level func so
+// scheduling it via sim.ScheduleArg captures no closure. Unlike
+// deliverFrame it recycles the delivery only after the handler returns,
+// because the handler reads the delivery's own buffer.
+func deliverMsg(arg any) {
+	d := arg.(*msgDelivery)
+	c, h := d.c, d.hop
 	if h.spanID != 0 {
 		c.emitSpan("chan.msg", h)
 	}
@@ -539,8 +577,9 @@ func deliverMsg(arg any) {
 		fn = c.onB
 	}
 	if fn != nil {
-		fn(buf)
+		fn(d.buf)
 	}
+	c.recycle(d)
 }
 
 // NewChannel creates a bidirectional message pipe with the given one-way
@@ -549,7 +588,9 @@ func NewChannel(kernel *sim.Kernel, latency sim.Sampler) *Channel {
 	return &Channel{pipe: newPipe(kernel, latency)}
 }
 
-// OnReceive registers the message handler for one end.
+// OnReceive registers the message handler for one end. The handler's
+// message is valid only during the call: the channel reuses its memory
+// for a later send, so a handler that keeps bytes copies them.
 func (c *Channel) OnReceive(end End, fn func([]byte)) {
 	if end == EndA {
 		c.onA = fn
@@ -560,41 +601,42 @@ func (c *Channel) OnReceive(end End, fn func([]byte)) {
 
 // Send delivers a message to the other end after the channel latency.
 // Messages sent before the receiving handler is registered are dropped.
-// data is copied; the caller may reuse its buffer once Send returns, and
-// the receiving handler owns the delivered copy.
+// data is copied, after the loss draw, into memory the channel recycles;
+// the caller may reuse its buffer once Send returns, and the receiving
+// handler may read the delivered copy only during its call.
 func (c *Channel) Send(from End, data []byte) {
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	c.send(from, buf)
-}
-
-// send is Send for a buffer the channel takes ownership of.
-func (c *Channel) send(from End, buf []byte) {
 	r := c.rng(from)
 	if c.lossRate > 0 && c.lose(from, r) {
 		return
 	}
-	var d *msgDelivery
-	if n := len(c.free); n > 0 && c.split == nil {
-		d = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		d = &msgDelivery{}
-	}
-	d.c, d.buf = c, buf
+	d := c.delivery(data)
 	c.post(from, r, &d.hop, deliverMsg, d)
 }
 
 // SendAfter behaves like Send with an extra fixed delay prepended, used to
 // model processing time at the sender (e.g. 802.11 encode/decode on an
 // out-of-band relay). The delay elapses on the sender's own shard. data
-// is copied once, now.
+// is copied once, now, into the delivery that carries it; the loss and
+// latency draws happen when the delay has elapsed, as for a Send then.
 func (c *Channel) SendAfter(from End, extra time.Duration, data []byte) {
-	buf := make([]byte, len(data))
-	copy(buf, data)
+	d := c.delivery(data)
+	d.from = from
 	k := c.kernel
 	if s := c.split; s != nil && from == EndB {
 		k = s.kernelB
 	}
-	k.Schedule(extra, func() { c.send(from, buf) })
+	k.ScheduleArg(extra, sendDelayed, d)
+}
+
+// sendDelayed is the send half of SendAfter, run once the extra delay has
+// elapsed: the delivery already holds the message and its direction.
+func sendDelayed(arg any) {
+	d := arg.(*msgDelivery)
+	c, from := d.c, d.from
+	r := c.rng(from)
+	if c.lossRate > 0 && c.lose(from, r) {
+		c.recycle(d)
+		return
+	}
+	c.post(from, r, &d.hop, deliverMsg, d)
 }

@@ -127,7 +127,7 @@ func TestSplitChannelDelivers(t *testing.T) {
 	c.Split(g, 0, 1, k1)
 	var gotB []byte
 	var atB time.Duration
-	c.OnReceive(EndB, func(data []byte) { gotB = data; atB = k1.Elapsed() })
+	c.OnReceive(EndB, func(data []byte) { gotB = append([]byte(nil), data...); atB = k1.Elapsed() })
 	var atA time.Duration
 	c.OnReceive(EndA, func([]byte) { atA = k0.Elapsed() })
 	k0.Schedule(0, func() { c.Send(EndA, []byte{7}) })

@@ -342,7 +342,7 @@ func TestChannelRoundTrip(t *testing.T) {
 	c := NewChannel(k, sim.Const(10*time.Millisecond))
 	var got []byte
 	var at time.Duration
-	c.OnReceive(EndB, func(b []byte) { got = b; at = k.Elapsed() })
+	c.OnReceive(EndB, func(b []byte) { got = append([]byte(nil), b...); at = k.Elapsed() })
 	c.Send(EndA, []byte("hello"))
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -395,7 +395,7 @@ func TestChannelCopiesPayload(t *testing.T) {
 	k := sim.New()
 	c := NewChannel(k, nil)
 	var got []byte
-	c.OnReceive(EndB, func(b []byte) { got = b })
+	c.OnReceive(EndB, func(b []byte) { got = append([]byte(nil), b...) })
 	buf := []byte{7}
 	c.Send(EndA, buf)
 	buf[0] = 0
@@ -404,6 +404,74 @@ func TestChannelCopiesPayload(t *testing.T) {
 	}
 	if got[0] != 7 {
 		t.Fatal("channel aliased sender buffer")
+	}
+}
+
+// TestChannelHandlerReentrantSend: a handler that replies, and sends a
+// second message onward in its own direction, still reads its own
+// message intact afterwards, because its delivery is recycled only once
+// it returns.
+func TestChannelHandlerReentrantSend(t *testing.T) {
+	k := sim.New()
+	c := NewChannel(k, sim.Const(time.Millisecond))
+	c.Send(EndA, []byte("warm")) // leave one recycled delivery on the free list
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var gotA, gotB []string
+	c.OnReceive(EndA, func(b []byte) { gotA = append(gotA, string(b)) })
+	c.OnReceive(EndB, func(b []byte) {
+		gotB = append(gotB, string(b))
+		if string(b) != "request" {
+			return
+		}
+		c.Send(EndB, []byte("reply!!"))
+		c.Send(EndA, []byte("onward!"))
+		if string(b) != "request" {
+			t.Errorf("a send from the handler overwrote its message: %q", b)
+		}
+	})
+	c.Send(EndA, []byte("request"))
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(gotA) != 1 || gotA[0] != "reply!!" {
+		t.Fatalf("end A got %q, want the reply", gotA)
+	}
+	if len(gotB) != 2 || gotB[0] != "request" || gotB[1] != "onward!" {
+		t.Fatalf("end B got %q, want the request then the onward message", gotB)
+	}
+}
+
+// TestChannelReusesDeliveryBuffer: consecutive messages through one
+// recycled delivery each arrive at their own length — a longer one grows
+// the buffer, and a shorter one after it carries no stale tail.
+func TestChannelReusesDeliveryBuffer(t *testing.T) {
+	k := sim.New()
+	c := NewChannel(k, sim.Const(time.Millisecond))
+	var got []string
+	c.OnReceive(EndB, func(b []byte) { got = append(got, string(b)) })
+	want := []string{"abc", "a much longer second message", "xy"}
+	for i, msg := range want {
+		if i%2 == 0 {
+			c.Send(EndA, []byte(msg))
+		} else {
+			c.SendAfter(EndA, time.Millisecond, []byte(msg))
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.free) != 1 {
+			t.Fatalf("after message %d: %d recycled deliveries, want 1", i, len(c.free))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("message %d: got %q, want %q", i, got[i], want[i])
+		}
 	}
 }
 
@@ -428,4 +496,39 @@ func TestLinkLatencyJitterSampledPerFrame(t *testing.T) {
 	if len(distinct) < 2 {
 		t.Fatal("jittered link produced identical delays")
 	}
+}
+
+// benchChannel measures send plus its delivery of a 64-byte message on a
+// warm unsplit channel. The copy lands in a recycled delivery's buffer,
+// so CI requires 0 allocs/op.
+func benchChannel(b *testing.B, send func(c *Channel, msg []byte)) {
+	k := sim.New(sim.WithEventLimit(^uint64(0)))
+	c := NewChannel(k, sim.Const(time.Microsecond))
+	delivered := 0
+	c.OnReceive(EndB, func([]byte) { delivered++ })
+	msg := make([]byte, 64)
+	round := func() {
+		send(c, msg)
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	round() // warm the delivery free list and the event queue
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if delivered != b.N+1 {
+		b.Fatalf("delivered %d of %d messages", delivered, b.N+1)
+	}
+}
+
+func BenchmarkChannelSend(b *testing.B) {
+	benchChannel(b, func(c *Channel, msg []byte) { c.Send(EndA, msg) })
+}
+
+func BenchmarkChannelSendAfter(b *testing.B) {
+	benchChannel(b, func(c *Channel, msg []byte) { c.SendAfter(EndA, time.Microsecond, msg) })
 }

@@ -92,7 +92,7 @@ func TestOOBChannelIndependentOfSDN(t *testing.T) {
 		ch := n.AddOOBChannel(sim.Const(10 * time.Millisecond))
 		var got []byte
 		var at time.Duration
-		ch.OnReceive(link.EndB, func(b []byte) { got = b; at = n.Kernel.Elapsed() })
+		ch.OnReceive(link.EndB, func(b []byte) { got = append([]byte(nil), b...); at = n.Kernel.Elapsed() })
 		ch.Send(link.EndA, []byte("covert"))
 		if err := n.Run(time.Second); err != nil {
 			t.Fatal(err)

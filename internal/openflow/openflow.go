@@ -170,10 +170,11 @@ func clone(b []byte) []byte {
 
 // Decode decodes one message like Unmarshal, but in place: the echo,
 // PacketIn and PacketOut data of the returned message alias b. Use it on
-// a buffer the caller owns and nobody writes again. Every control
-// message a receiver is handed is one: link.Channel.Send copies at
-// ingress and ofnet.Conn.ReceiveRaw reads each message into a fresh
-// buffer.
+// a buffer nobody writes while the message is in use. Every control
+// message a receiver is handed is one for the length of its handler:
+// link.Channel delivers each send's own copy, which it reuses only after
+// the handler returns, and ofnet.Conn.ReceiveRaw reads each message into
+// a fresh buffer.
 func Decode(b []byte) (xid uint32, m Message, err error) { return decode(b, nil) }
 
 // Decoder decodes like Decode, and also reuses one PacketIn and one
