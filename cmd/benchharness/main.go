@@ -488,8 +488,8 @@ func printSecBind(seed int64) error {
 
 // printObs runs the Figure 9 testbed under TOPOGUARD+ for two virtual
 // minutes with the full observability stack on: the deterministic metric
-// registry, the structured event bus, and the (wall-clock, hence
-// non-deterministic) kernel profile.
+// registry, the span recorder when tracePath is set, and the
+// (wall-clock, hence non-deterministic) kernel profile.
 func printObs(seed int64, metricsPath, tracePath string) error {
 	header("OBSERVABILITY: metrics, events and kernel profile (Fig 9 testbed, TOPOGUARD+)")
 	s := core.NewFig9Testbed(seed, core.TopoGuardPlus())
@@ -520,17 +520,6 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 		fmt.Printf("  %-70s n=%d p50=%s p99=%s\n", h.Name, h.Count, ms(h.P50), ms(h.P99))
 	}
 
-	bus := reg.Events()
-	events := bus.Events()
-	fmt.Printf("\nevent bus: %d retained of %d total; last 5:\n", len(events), bus.Total())
-	tail := events
-	if len(tail) > 5 {
-		tail = tail[len(tail)-5:]
-	}
-	for _, ev := range tail {
-		fmt.Printf("  %s\n", ev)
-	}
-
 	fmt.Println("\nkernel wall-time profile (non-deterministic, excluded from snapshots):")
 	for _, ws := range profile.Samples() {
 		fmt.Printf("  virtual %-8s wall %-12s events %d\n",
@@ -538,19 +527,7 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 	}
 
 	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(metricsPath, ".csv") {
-			err = snap.WriteCSV(f)
-		} else {
-			err = snap.WriteJSONL(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := snap.WriteFile(metricsPath); err != nil {
 			return err
 		}
 		fmt.Printf("\nmetrics snapshot written to %s\n", metricsPath)
@@ -563,23 +540,10 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 	return nil
 }
 
-// writeSpans exports a canonical span stream to path: JSON Lines for a
-// .jsonl suffix, Chrome trace_event JSON (chrome://tracing, Perfetto)
-// otherwise.
+// writeSpans exports a canonical span stream to path (see
+// trace.WriteFile) and reports it.
 func writeSpans(spans []trace.Span, dropped uint64, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = trace.WriteJSONL(f, spans)
-	} else {
-		err = trace.WriteChrome(f, spans)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := trace.WriteFile(path, spans); err != nil {
 		return err
 	}
 	fmt.Printf("trace: %d spans written to %s (%d dropped from the ring)\n", len(spans), path, dropped)

@@ -70,7 +70,6 @@ func run(args []string) error {
 	trials := fs.Int("trials", 1, "seeded trials (seed, seed+1, ...); >1 runs a headless fleet, one summary row per trial")
 	parallel := fs.Int("parallel", 0, "worker goroutines for the trial fleet (0 = one per CPU, 1 = serial)")
 	metricsPath := fs.String("metrics", "", "write the final metrics snapshot to this file (.csv for CSV, anything else for JSON Lines); fleets merge per-trial registries in seed order")
-	eventsPath := fs.String("events", "", "write the retained structured event stream to this file as JSON Lines")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -82,7 +81,20 @@ func run(args []string) error {
 		if *chaosClass != "" {
 			return fmt.Errorf("-chaos is a single-run option; for multi-trial fault injection use benchharness -experiment chaos")
 		}
-		return runFleet(*scenarioName, *defenseName, *attackName, *duration, *seed, *trials, *parallel, *metricsPath, *eventsPath)
+		for _, opt := range []struct {
+			name string
+			set  bool
+		}{
+			{"trace", *tracePath != ""},
+			{"tapframes", *traceFrames > 0},
+			{"pcap", *pcapPath != ""},
+			{"dot", *dotPath != ""},
+		} {
+			if opt.set {
+				return fmt.Errorf("-%s is a single-run option; a fleet (-trials > 1) does not record it", opt.name)
+			}
+		}
+		return runFleet(*scenarioName, *defenseName, *attackName, *duration, *seed, *trials, *parallel, *metricsPath)
 	}
 
 	logf := func(format string, a ...any) {
@@ -191,10 +203,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if err := exportObservability(s.Net.Metrics(), *metricsPath, *eventsPath); err != nil {
-		return err
-	}
-	return nil
+	return writeMetrics(s.Net.Metrics(), *metricsPath)
 }
 
 // exportSpans writes the flight recorder's span stream to path (.jsonl
@@ -204,19 +213,7 @@ func run(args []string) error {
 // defense reached its decision.
 func exportSpans(rec *spantrace.Recorder, path string) error {
 	spans := spantrace.Merge(rec)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = spantrace.WriteJSONL(f, spans)
-	} else {
-		err = spantrace.WriteChrome(f, spans)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := spantrace.WriteFile(path, spans); err != nil {
 		return err
 	}
 	fmt.Printf("trace: %d spans written to %s (%d dropped from the ring)\n", len(spans), path, rec.Dropped())
@@ -236,44 +233,16 @@ func exportSpans(rec *spantrace.Recorder, path string) error {
 	return nil
 }
 
-// exportObservability writes a registry's snapshot and/or event stream to
-// the requested files. Empty paths are skipped; .csv selects the CSV
-// snapshot format and anything else JSON Lines.
-func exportObservability(reg *obs.Registry, metricsPath, eventsPath string) error {
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		snap := reg.Snapshot()
-		if strings.HasSuffix(metricsPath, ".csv") {
-			err = snap.WriteCSV(f)
-		} else {
-			err = snap.WriteJSONL(f)
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("metrics snapshot written to %s\n", metricsPath)
+// writeMetrics writes a registry's snapshot to path (.csv for CSV,
+// anything else for JSON Lines); an empty path writes nothing.
+func writeMetrics(reg *obs.Registry, path string) error {
+	if path == "" {
+		return nil
 	}
-	if eventsPath != "" {
-		f, err := os.Create(eventsPath)
-		if err != nil {
-			return err
-		}
-		err = obs.WriteEventsJSONL(f, reg.Events().Events())
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("event stream written to %s (%d retained of %d total)\n",
-			eventsPath, len(reg.Events().Events()), reg.Events().Total())
+	if err := reg.Snapshot().WriteFile(path); err != nil {
+		return err
 	}
+	fmt.Printf("metrics snapshot written to %s\n", path)
 	return nil
 }
 
@@ -383,10 +352,10 @@ func runTrial(scenarioName, defenseName, attackName string, duration time.Durati
 
 // runFleet runs the same configuration across consecutive seeds on the
 // parallel executor and prints one row per trial, merged in seed order.
-func runFleet(scenarioName, defenseName, attackName string, duration time.Duration, seed int64, trials, workers int, metricsPath, eventsPath string) error {
+func runFleet(scenarioName, defenseName, attackName string, duration time.Duration, seed int64, trials, workers int, metricsPath string) error {
 	fmt.Printf("fleet: %d trials, scenario=%s defense=%s attack=%s duration=%s seeds=%d..%d\n",
 		trials, scenarioName, defenseName, attackName, duration, seed, seed+int64(trials)-1)
-	results, merged, err := exp.RunInstrumented(exp.Seeds(seed, trials, 1), workers, func(s int64) (trialOutcome, *obs.Registry, error) {
+	results, merged, err := exp.GridInstrumented(exp.Seeds(seed, trials, 1), workers, func(s int64) (trialOutcome, *obs.Registry, error) {
 		return runTrial(scenarioName, defenseName, attackName, duration, s)
 	})
 	if err != nil {
@@ -405,7 +374,7 @@ func runFleet(scenarioName, defenseName, attackName string, duration time.Durati
 	if attackName == "port-probing" {
 		fmt.Printf("hijacks completed: %d/%d\n", hijacks, trials)
 	}
-	return exportObservability(merged, metricsPath, eventsPath)
+	return writeMetrics(merged, metricsPath)
 }
 
 func warm(s *core.Scenario) {

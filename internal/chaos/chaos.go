@@ -293,10 +293,8 @@ func (p Plan) End() time.Duration {
 
 // injMetrics are the injector's observability handles.
 type injMetrics struct {
-	reg      *obs.Registry
-	flaps    *obs.Counter
-	byClass  map[Class]*obs.Counter
-	faultSeq uint64
+	flaps   *obs.Counter
+	byClass map[Class]*obs.Counter
 }
 
 // Injector schedules faults on one network. Its RNG is private and
@@ -315,7 +313,6 @@ type Injector struct {
 func NewInjector(net *netsim.Network, seed int64) *Injector {
 	reg := net.Metrics()
 	m := injMetrics{
-		reg:     reg,
 		flaps:   reg.Counter("chaos_carrier_flaps_total"),
 		byClass: make(map[Class]*obs.Counter, len(Classes())),
 	}
@@ -344,15 +341,6 @@ func (inj *Injector) BindCluster(rs ReplicaSet) { inj.cluster = rs }
 // effects wait for the kernel clock.
 func (inj *Injector) Inject(after time.Duration, f Fault) {
 	inj.m.byClass[f.Class()].Inc()
-	inj.m.faultSeq++
-	seq := inj.m.faultSeq
-	inj.m.reg.Events().Publish(obs.Event{
-		At:     inj.kernel.Elapsed() + after,
-		Kind:   obs.KindKernel,
-		Module: "chaos",
-		Name:   "fault-injected",
-		Detail: fmt.Sprintf("#%d %s for %s", seq, f.Class(), f.Duration()),
-	})
 	if after == 0 {
 		f.apply(inj)
 		return

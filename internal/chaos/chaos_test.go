@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sdntamper/internal/link"
-	"sdntamper/internal/obs"
 	"sdntamper/internal/sim"
 	"sdntamper/internal/tgplus"
 	"sdntamper/internal/topoguard"
@@ -279,8 +278,8 @@ func TestExperimentRunsAndChecksInvariants(t *testing.T) {
 }
 
 // TestChaosSnapshotByteIdentical is the determinism pin: one chaos
-// experiment, rendered as Prometheus text plus the event journal, must
-// be byte-for-byte identical between a serial run and an 8-worker run.
+// experiment, rendered as Prometheus text, must be byte-for-byte
+// identical between a serial run and an 8-worker run.
 func TestChaosSnapshotByteIdentical(t *testing.T) {
 	render := func(workers int) string {
 		_, merged, err := Run(Config{
@@ -294,9 +293,6 @@ func TestChaosSnapshotByteIdentical(t *testing.T) {
 		}
 		var b strings.Builder
 		if err := merged.Snapshot().WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.WriteEventsJSONL(&b, merged.Events().Events()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

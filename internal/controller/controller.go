@@ -73,10 +73,12 @@ type Controller struct {
 	pendingLLDP map[PortRef]pendingProbe
 
 	// tracer is the controller shard's span recorder (nil when tracing is
-	// off); traceSeq numbers the controller's spans, which is
-	// shard-invariant because the controller runs whole on one shard.
-	tracer   *trace.Recorder
-	traceSeq uint64
+	// off); traceSeq numbers the controller's causal spans and recordSeq
+	// its record spans (see recordSpan), both shard-invariant because the
+	// controller runs whole on one shard.
+	tracer    *trace.Recorder
+	traceSeq  uint64
+	recordSeq uint64
 
 	pendingEchoes     map[uint32]*pendingEcho
 	pendingPathProbes map[uint64]*pendingPathProbe
@@ -254,7 +256,25 @@ const (
 	traceSiteLLDPEmit = iota + 1
 	traceSitePacketIn
 	traceSiteLLDPFlight
+	traceSiteRecord
 )
+
+// recordSpan emits one leaf instant span recording a topology change or
+// an alert, parented on the chain that caused it. It never becomes the
+// current context and numbers its IDs from recordSeq, so the IDs and
+// parents of every other span the controller emits are the same with or
+// without these records. Callers hold the non-nil tracer.
+func (c *Controller) recordSpan(tr *trace.Recorder, kind trace.Kind, name string, loc PortRef, detail string) {
+	c.recordSeq++
+	now := tr.Now()
+	tr.Emit(trace.Span{
+		ID:     trace.MixID(uint64(kind), traceSiteRecord, loc.DPID, uint64(loc.Port), c.recordSeq),
+		Parent: tr.Current(),
+		Start:  now, End: now,
+		Kind: kind, Name: name,
+		Entity: loc.DPID, Port: loc.Port, Detail: detail,
+	})
+}
 
 // Disconnect tears down the control connection to a switch, as when the
 // channel drops or the switch reboots. Every pending probe bound to the
@@ -273,7 +293,9 @@ func (c *Controller) Disconnect(dpid uint64) bool {
 	c.switches = nil
 	c.deadSwitches[dpid] = c.kernel.Now()
 	c.m.switchDisconnects.Inc()
-	c.event(obs.KindTopology, "switch-disconnected", PortRef{DPID: dpid}, "")
+	if tr := c.tracer; tr != nil {
+		c.recordSpan(tr, trace.KindControl, "switch-disconnected", PortRef{DPID: dpid}, "")
+	}
 	c.logf("switch 0x%x disconnected", dpid)
 	c.failPendingProbes(dpid)
 	c.removeLinksMatching(func(l Link) bool {
@@ -397,7 +419,9 @@ func (conn *Conn) Handle(data []byte) {
 		if _, wasDead := c.deadSwitches[conn.dpid]; wasDead {
 			delete(c.deadSwitches, conn.dpid)
 			c.m.switchReconnects.Inc()
-			c.event(obs.KindTopology, "switch-reconnected", PortRef{DPID: conn.dpid}, "")
+			if tr := c.tracer; tr != nil {
+				c.recordSpan(tr, trace.KindControl, "switch-reconnected", PortRef{DPID: conn.dpid}, "")
+			}
 		}
 		c.logf("switch 0x%x connected with %d ports", conn.dpid, len(msg.Ports))
 		for _, o := range c.switchObservers {
@@ -447,7 +471,6 @@ func (c *Controller) handlePacketIn(conn *Conn, msg *openflow.PacketIn) {
 	}
 	sc.eth = eth
 	c.m.packetIn.Inc()
-	c.event(obs.KindPacket, "packet-in", PortRef{DPID: conn.dpid, Port: msg.InPort}, "")
 	if tr := c.tracer; tr != nil {
 		// Every Packet-In gets a span: chained under the control-channel
 		// hop that carried it when the frame belongs to a traced chain,
@@ -515,13 +538,9 @@ func (c *Controller) RaiseAlert(module, reason, detail string) {
 	c.alerts = append(c.alerts, a)
 	c.m.alerts.Inc()
 	c.m.alertCounter(module, reason).Inc()
-	c.m.reg.Events().Publish(obs.Event{
-		At:     c.kernel.Now().Sub(sim.Epoch),
-		Kind:   obs.KindVerdict,
-		Module: module,
-		Name:   reason,
-		Detail: detail,
-	})
+	if tr := c.tracer; tr != nil {
+		c.recordSpan(tr, trace.KindDefense, "alert", PortRef{}, "["+module+"] "+reason+": "+detail)
+	}
 	c.logf("%s", a.String())
 }
 
@@ -597,7 +616,7 @@ func (c *Controller) LinkPorts() map[PortRef]bool {
 // RemoveLink implements API.
 func (c *Controller) RemoveLink(l Link) {
 	if _, ok := c.links[l]; ok {
-		c.removeLink(l, "api", linkDetail("evicted", l))
+		c.removeLink(l, "api", "evicted")
 	}
 	c.invalidateTopo()
 }

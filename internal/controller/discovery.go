@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sdntamper/internal/lldp"
-	"sdntamper/internal/obs"
 	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/openflow"
 	"sdntamper/internal/packet"
@@ -176,7 +175,6 @@ func (c *Controller) handleLLDPIn(ev *PacketInEvent) {
 	if linkEv.IsNew {
 		c.logf("link discovered: %s", l)
 		c.m.linksAdded.Inc()
-		c.event(obs.KindTopology, "link-added", l.Src, l.String())
 		c.linkBorn[l] = ev.When
 		// A refresh only bumps the last-seen time; only a genuinely new
 		// link changes the forwarding views.

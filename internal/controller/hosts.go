@@ -6,7 +6,7 @@ import (
 	"sort"
 	"time"
 
-	"sdntamper/internal/obs"
+	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/packet"
 )
 
@@ -61,7 +61,9 @@ func (c *Controller) observeHost(ev *PacketInEvent) {
 	if known {
 		c.logf("host %s moved %s -> %s", src, entry.Loc, loc)
 		c.m.hostMoves.Inc()
-		c.event(obs.KindTopology, "host-moved", loc, src.String()+" from "+entry.Loc.String())
+		if tr := c.tracer; tr != nil {
+			c.recordSpan(tr, trace.KindControl, "host-moved", loc, src.String()+" from "+entry.Loc.String())
+		}
 		entry.Loc = loc
 		entry.LastSeen = ev.When
 		if !ip.IsZero() {
@@ -70,7 +72,9 @@ func (c *Controller) observeHost(ev *PacketInEvent) {
 	} else {
 		c.logf("host %s joined at %s", src, loc)
 		c.m.hostJoins.Inc()
-		c.event(obs.KindTopology, "host-joined", loc, src.String())
+		if tr := c.tracer; tr != nil {
+			c.recordSpan(tr, trace.KindControl, "host-joined", loc, src.String())
+		}
 		c.hosts[src] = &HostEntry{
 			MAC:       src,
 			IP:        ip,
@@ -120,7 +124,9 @@ func (c *Controller) ageDeadSwitchHosts(now time.Time) {
 		h := c.hosts[mac]
 		delete(c.hosts, mac)
 		c.m.hostsAgedOut.Inc()
-		c.event(obs.KindTopology, "host-aged-out", h.Loc, mac.String())
+		if tr := c.tracer; tr != nil {
+			c.recordSpan(tr, trace.KindControl, "host-aged-out", h.Loc, mac.String())
+		}
 		c.logf("host %s aged out: switch 0x%x dead past link timeout", mac, h.Loc.DPID)
 	}
 }

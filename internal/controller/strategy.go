@@ -179,7 +179,7 @@ func newSOFTDPStrategy(c *Controller) *softdpStrategy {
 		Evict: func(l softdp.Link, reason string) {
 			cl := fromSoftdpLink(l)
 			if _, ok := c.links[cl]; ok {
-				c.removeLink(cl, reason, linkDetail(reason, cl))
+				c.removeLink(cl, reason, reason)
 				c.invalidateTopo()
 			}
 		},

@@ -5,7 +5,7 @@ import (
 	"slices"
 	"sort"
 
-	"sdntamper/internal/obs"
+	"sdntamper/internal/obs/trace"
 )
 
 // topoCache holds incrementally maintained derived views of the link
@@ -77,7 +77,7 @@ func (c *Controller) removeLinksMatching(pred func(Link) bool, reason string) in
 	}
 	sortLinks(doomed)
 	for _, l := range doomed {
-		c.removeLink(l, reason, linkDetail(reason, l))
+		c.removeLink(l, reason, reason)
 	}
 	if len(doomed) > 0 {
 		c.invalidateTopo()
@@ -87,21 +87,23 @@ func (c *Controller) removeLinksMatching(pred func(Link) bool, reason string) in
 }
 
 // removeLink evicts one link that is in the topology and announces it:
-// the link-removed event carrying detail, then the removal observers and
-// the discovery strategy with reason. The caller invalidates the
-// topology cache.
-func (c *Controller) removeLink(l Link, reason, detail string) {
+// a link-removed span whose detail is "prefix link" when tracing, then
+// the removal observers and the discovery strategy with reason. The
+// caller invalidates the topology cache.
+func (c *Controller) removeLink(l Link, reason, prefix string) {
 	delete(c.links, l)
 	delete(c.linkBorn, l)
 	c.m.linksRemoved.Inc()
-	c.event(obs.KindTopology, "link-removed", l.Src, detail)
+	if tr := c.tracer; tr != nil {
+		c.recordSpan(tr, trace.KindControl, "link-removed", l.Src, linkDetail(prefix, l))
+	}
 	for _, o := range c.removalObservers {
 		o.ObserveLinkRemoved(l, reason)
 	}
 	c.discovery.linkRemoved(l, reason)
 }
 
-// linkDetail renders "prefix link" for a topology event in one
+// linkDetail renders "prefix link" for a topology span in one
 // allocation.
 func linkDetail(prefix string, l Link) string {
 	var buf [96]byte

@@ -134,8 +134,7 @@ func TestParallelWorkerClamping(t *testing.T) {
 
 // TestMetricsSnapshotByteIdentical extends the determinism contract to
 // the observability layer: a fleet's merged metrics snapshot (Prometheus
-// text) and merged event stream (JSON Lines) must be byte-for-byte
-// identical regardless of the worker count.
+// text) must be byte-for-byte identical regardless of the worker count.
 func TestMetricsSnapshotByteIdentical(t *testing.T) {
 	seeds := []int64{11, 12, 13, 14, 15, 16}
 	trial := func(seed int64) (struct{}, *obs.Registry, error) {
@@ -147,15 +146,12 @@ func TestMetricsSnapshotByteIdentical(t *testing.T) {
 		return struct{}{}, s.Net.Metrics(), nil
 	}
 	render := func(workers int) string {
-		_, merged, err := exp.RunInstrumented(seeds, workers, trial)
+		_, merged, err := exp.GridInstrumented(seeds, workers, trial)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
 		if err := merged.Snapshot().WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.WriteEventsJSONL(&b, merged.Events().Events()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

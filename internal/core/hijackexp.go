@@ -71,7 +71,7 @@ func RunHijackDistributions(seed int64, runs int, withToolOverhead bool, workers
 	if runs <= 0 {
 		runs = 100
 	}
-	results, err := exp.Run(exp.Seeds(seed, runs, hijackSeedStride), workers,
+	results, err := exp.Grid(exp.Seeds(seed, runs, hijackSeedStride), workers,
 		func(s int64) (hijackOutcome, error) {
 			run, timeout, err := runOneHijack(s, withToolOverhead)
 			return hijackOutcome{run: run, timeout: timeout}, err

@@ -60,7 +60,7 @@ func RunInducedMigrationSeries(seed int64, runs, workers int) (*InducedMigration
 	if runs <= 0 {
 		runs = 10
 	}
-	results, err := exp.Run(exp.Seeds(seed, runs, inducedSeedStride), workers, RunInducedMigration)
+	results, err := exp.Grid(exp.Seeds(seed, runs, inducedSeedStride), workers, RunInducedMigration)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"sdntamper/internal/attack"
+	"sdntamper/internal/controller"
+	"sdntamper/internal/dataplane"
 	"sdntamper/internal/exp"
 	"sdntamper/internal/obs/trace"
+	"sdntamper/internal/sim"
 	"sdntamper/internal/tgplus"
 )
 
@@ -186,4 +189,94 @@ func TestCMMForensicTimeline(t *testing.T) {
 	if !strings.Contains(window.Detail, "propagation window") {
 		t.Fatalf("cmm.window detail = %q", window.Detail)
 	}
+}
+
+// TestTopologySpans pins the controller's record spans: topology changes
+// and alerts land in the span stream as leaf instants at the controller
+// state they describe, and recording them leaves the metrics untouched.
+func TestTopologySpans(t *testing.T) {
+	t.Run("fig2-host-moved", func(t *testing.T) {
+		s := NewFig2Scenario(3, BothBaselines())
+		defer s.Close()
+		rec := s.Net.EnableTrace(0)
+		if err := s.Run(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		victim := s.Host(HostVictim)
+		s.Host(HostClient).ARPPing(victim.IP(), time.Second, func(dataplane.ProbeResult) {})
+		if err := s.Run(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		cfg := attack.DefaultHijackConfig(AttackerLocFig2())
+		cfg.ToolOverhead = nil
+		hj := attack.NewHijack(s.Net.Kernel, s.Host(HostAttackerA), victim.IP(), cfg)
+		s.Controller().Register(hj)
+		done := false
+		hj.Start(func(attack.Timeline) { done = true })
+		if err := s.Run(3 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		victim.InterfaceDown()
+		if err := s.Run(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if !done {
+			t.Fatal("port-probing hijack did not complete")
+		}
+		want := AttackerLocFig2()
+		for _, sp := range trace.FindByName(rec.Spans(), "host-moved") {
+			if (controller.PortRef{DPID: sp.Entity, Port: sp.Port}) == want {
+				if sp.Start != sp.End || sp.Parent == 0 {
+					t.Fatalf("host-moved span is not a parented instant: %+v", sp)
+				}
+				return
+			}
+		}
+		t.Fatalf("no host-moved span at %s", want)
+	})
+
+	t.Run("fig9-alerts", func(t *testing.T) {
+		run := func(traced bool) (string, []controller.Alert, []trace.Span) {
+			s := NewFig9Testbed(1, TopoGuardPlus())
+			defer s.Close()
+			var rec *trace.Recorder
+			if traced {
+				rec = s.Net.EnableTrace(0)
+			}
+			if err := s.Run(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			attack.NewOOBFabrication(s.Net.Kernel, s.Host(HostAttackerA), s.Host(HostAttackerB), s.OOB,
+				attack.FabricationConfig{UseAmnesia: true}).Start()
+			if err := s.Run(90 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Dropped() != 0 {
+				t.Fatalf("%d spans dropped", rec.Dropped())
+			}
+			var prom strings.Builder
+			if err := s.Net.Metrics().Snapshot().WritePrometheus(&prom); err != nil {
+				t.Fatal(err)
+			}
+			return prom.String(), s.Controller().Alerts(), rec.Spans()
+		}
+		prom, alerts, spans := run(true)
+		if len(alerts) == 0 {
+			t.Fatal("OOB amnesia raised no alerts under TopoGuard+")
+		}
+		// Emission order is raise order, even for alerts sharing an instant.
+		got := trace.FindByName(spans, "alert")
+		if len(got) != len(alerts) {
+			t.Fatalf("%d alert spans for %d alerts", len(got), len(alerts))
+		}
+		for i, a := range alerts {
+			detail := "[" + a.Module + "] " + a.Reason + ": " + a.Detail
+			if at := int64(a.At.Sub(sim.Epoch)); got[i].Start != at || got[i].Detail != detail {
+				t.Fatalf("alert span %d = {%d %q}, want {%d %q}", i, got[i].Start, got[i].Detail, at, detail)
+			}
+		}
+		if untraced, _, _ := run(false); untraced != prom {
+			t.Fatalf("tracing changed the metrics:\n--- traced ---\n%s--- untraced ---\n%s", prom, untraced)
+		}
+	})
 }

@@ -31,12 +31,6 @@ func Seeds(base int64, n int, stride int64) []int64 {
 	return out
 }
 
-// Run executes trial once per seed, sharded across workers, and returns
-// the results in seed order. It is Grid with the seeds as the work items.
-func Run[R any](seeds []int64, workers int, trial func(seed int64) (R, error)) ([]R, error) {
-	return Grid(seeds, workers, trial)
-}
-
 // Grid runs fn once per item, sharded across workers, and returns the
 // results in item order. workers <= 0 selects DefaultWorkers(), and the
 // count is clamped to len(items).

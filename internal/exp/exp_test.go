@@ -53,11 +53,11 @@ func TestGridPreservesItemOrder(t *testing.T) {
 func TestGridSerialMatchesParallel(t *testing.T) {
 	trial := func(seed int64) (int64, error) { return seed * 3, nil }
 	seeds := Seeds(100, 17, 31)
-	serial, err := Run(seeds, 1, trial)
+	serial, err := Grid(seeds, 1, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(seeds, 5, trial)
+	parallel, err := Grid(seeds, 5, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestGridAbortKeepsFirstErrorByItemOrder(t *testing.T) {
 }
 
 func TestRunDefaultWorkers(t *testing.T) {
-	got, err := Run(Seeds(1, 9, 1), 0, func(seed int64) (int64, error) { return seed, nil })
+	got, err := Grid(Seeds(1, 9, 1), 0, func(seed int64) (int64, error) { return seed, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,22 +9,13 @@ type instrumented[R any] struct {
 	metrics *obs.Registry
 }
 
-// RunInstrumented executes trial once per seed like Run, with each trial
+// GridInstrumented runs fn once per item like Grid, with each item
 // additionally returning its own obs.Registry (every trial owns a private
 // kernel, so it must own a private registry too — sharing one across
-// workers would race and break determinism). The per-trial registries are
-// merged in seed order after all trials finish, so the combined snapshot
-// is byte-identical regardless of the worker count. A trial may return a
+// workers would race and break determinism). The per-item registries are
+// merged in item order after all items finish, so the combined snapshot
+// is byte-identical regardless of the worker count. An item may return a
 // nil registry; it simply contributes nothing to the merge.
-func RunInstrumented[R any](seeds []int64, workers int, trial func(seed int64) (R, *obs.Registry, error)) ([]R, *obs.Registry, error) {
-	return GridInstrumented(seeds, workers, trial)
-}
-
-// GridInstrumented is RunInstrumented generalized over arbitrary work
-// items: experiments whose trials are not plain seeds (e.g. the chaos
-// harness's fault-class x seed grid) run each item with a private
-// registry and get the merge in item order, preserving the byte-identical
-// snapshot guarantee across worker counts.
 func GridInstrumented[T, R any](items []T, workers int, fn func(item T) (R, *obs.Registry, error)) ([]R, *obs.Registry, error) {
 	wrapped, err := Grid(items, workers, func(item T) (instrumented[R], error) {
 		r, reg, err := fn(item)

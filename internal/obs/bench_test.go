@@ -26,21 +26,3 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(time.Duration(i%20) * time.Millisecond)
 	}
 }
-
-func BenchmarkBusPublishSteadyState(b *testing.B) {
-	bus := NewBus(256)
-	ev := Event{At: time.Second, Kind: KindPacket, Module: "bench", Name: "frame"}
-	// Fill the ring so every publish is a steady-state eviction.
-	for i := 0; i < 256; i++ {
-		bus.Publish(ev)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.At = time.Duration(i)
-		bus.Publish(ev)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { bus.Publish(ev) }); allocs != 0 {
-		b.Fatalf("steady-state publish allocates %.1f per op", allocs)
-	}
-}

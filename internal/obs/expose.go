@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -181,14 +182,20 @@ func (s *Snapshot) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// WriteEventsJSONL renders events as JSON Lines, one object per event,
-// oldest first: {"at_us":..., "kind":"topology", "module":"controller",
-// "name":"link-added", "dpid":"0x2", "port":3, "detail":"..."}.
-func WriteEventsJSONL(w io.Writer, events []Event) error {
-	for _, e := range events {
-		fmt.Fprintf(w, "{\"at_us\":%d,\"kind\":%q,\"module\":%s,\"name\":%s,\"dpid\":\"0x%x\",\"port\":%d,\"detail\":%s}\n",
-			e.At.Microseconds(), e.Kind.String(), strconv.Quote(e.Module),
-			strconv.Quote(e.Name), e.DPID, e.Port, strconv.Quote(e.Detail))
+// WriteFile writes the snapshot to path: CSV for a .csv suffix, JSON
+// Lines otherwise.
+func (s *Snapshot) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return nil
+	if strings.HasSuffix(path, ".csv") {
+		err = s.WriteCSV(f)
+	} else {
+		err = s.WriteJSONL(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,7 +1,9 @@
 // Package obs is the observability layer of the simulation: a
 // deterministic, allocation-light metrics registry (counters, gauges and
-// virtual-time histograms) plus a structured event bus, shared by the
-// kernel, the controller, the defense modules and the dataplane.
+// virtual-time histograms) shared by the kernel, the controller, the
+// defense modules and the dataplane. Structured per-event records are
+// spans (package obs/trace): a registry carries the run's span recorder
+// so the modules that bind it can reach it.
 //
 // Everything in this package follows the repository's determinism
 // contract: all timestamps are virtual (drawn from the owning sim.Kernel,
@@ -153,18 +155,15 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	bus      *Bus
 	tracer   *trace.Recorder
 }
 
-// NewRegistry creates an empty registry with an event bus of the default
-// capacity.
+// NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		bus:      NewBus(DefaultBusCapacity),
 	}
 }
 
@@ -208,9 +207,6 @@ func (r *Registry) HistogramWithBuckets(name string, bounds []time.Duration) *Hi
 	r.hists[name] = h
 	return h
 }
-
-// Events exposes the registry's event bus.
-func (r *Registry) Events() *Bus { return r.bus }
 
 // SetTracer attaches a span recorder to the registry, giving every
 // consumer that already holds the registry (notably the Verdicts
@@ -282,7 +278,6 @@ func Merge(dst, src *Registry) {
 			d.samples = append(d.samples, s)
 		}
 	}
-	dst.bus.AppendFrom(src.bus)
 }
 
 // MergeAll merges the registries in order into a fresh registry. Nil

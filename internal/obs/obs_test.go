@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -88,8 +90,6 @@ func TestMergeSumsAndConcatenates(t *testing.T) {
 	b.Counter("c_total").Add(3)
 	a.Histogram("h").Observe(time.Millisecond)
 	b.Histogram("h").Observe(2 * time.Millisecond)
-	a.Events().Publish(Event{At: 1, Kind: KindPacket, Name: "p1"})
-	b.Events().Publish(Event{At: 2, Kind: KindPacket, Name: "p2"})
 
 	m := MergeAll(a, nil, b)
 	if got := m.Counter("c_total").Value(); got != 5 {
@@ -98,33 +98,6 @@ func TestMergeSumsAndConcatenates(t *testing.T) {
 	h := m.Histogram("h")
 	if h.Count() != 2 || h.Sum() != 3*time.Millisecond {
 		t.Fatalf("merged histogram count=%d sum=%s", h.Count(), h.Sum())
-	}
-	events := m.Events().Events()
-	if len(events) != 2 || events[0].Name != "p1" || events[1].Name != "p2" {
-		t.Fatalf("merged events = %+v", events)
-	}
-}
-
-func TestBusRingEvictsOldest(t *testing.T) {
-	b := NewBus(3)
-	for i := 0; i < 5; i++ {
-		b.Publish(Event{At: time.Duration(i), Kind: KindKernel, Name: "e"})
-	}
-	events := b.Events()
-	if len(events) != 3 {
-		t.Fatalf("retained %d events, want 3", len(events))
-	}
-	if events[0].At != 2 || events[2].At != 4 {
-		t.Fatalf("wrong retention window: %+v", events)
-	}
-	if b.Total() != 5 {
-		t.Fatalf("total = %d, want 5", b.Total())
-	}
-	var seen int
-	b.Subscribe(func(Event) { seen++ })
-	b.Publish(Event{At: 9, Kind: KindKernel, Name: "e"})
-	if seen != 1 {
-		t.Fatalf("subscriber fired %d times", seen)
 	}
 }
 
@@ -178,34 +151,17 @@ func TestWriteFormats(t *testing.T) {
 		t.Fatalf("csv quoting: %s", csv.String())
 	}
 
-	var ev strings.Builder
-	err := WriteEventsJSONL(&ev, []Event{{At: 1500 * time.Microsecond, Kind: KindVerdict, Module: "m", Name: "n", DPID: 2, Port: 3, Detail: `d"q`}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"at_us":1500,"kind":"verdict","module":"m","name":"n","dpid":"0x2","port":3,"detail":"d\"q"}` + "\n"
-	if ev.String() != want {
-		t.Fatalf("events jsonl = %q, want %q", ev.String(), want)
-	}
-}
-
-// TestBusRingAllocatedOnFirstPublish pins that a registry which never
-// publishes holds no event ring: most registries (switches, hosts, shard
-// kernels) only count.
-func TestBusRingAllocatedOnFirstPublish(t *testing.T) {
-	r := NewRegistry()
-	b := r.Events()
-	if b.ring != nil {
-		t.Fatalf("fresh registry holds a %d-event ring", len(b.ring))
-	}
-	if evs := b.Events(); len(evs) != 0 || b.Total() != 0 {
-		t.Fatalf("empty bus reports %d events, total %d", len(evs), b.Total())
-	}
-	b.Publish(Event{Kind: KindKernel, Name: "e"})
-	if len(b.ring) != DefaultBusCapacity {
-		t.Fatalf("ring holds %d slots after the first publish, want %d", len(b.ring), DefaultBusCapacity)
-	}
-	if evs := b.Events(); len(evs) != 1 || evs[0].Name != "e" {
-		t.Fatalf("events = %+v", evs)
+	dir := t.TempDir()
+	for path, want := range map[string]string{
+		filepath.Join(dir, "m.csv"):   csv.String(),
+		filepath.Join(dir, "m.jsonl"): jsonl.String(),
+		filepath.Join(dir, "m.txt"):   jsonl.String(),
+	} {
+		if err := snap.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("WriteFile(%s) = %q, %v; want %q", path, got, err, want)
+		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Merge gathers the retained spans of the given recorders (nil entries
@@ -88,4 +90,22 @@ func WriteChrome(w io.Writer, spans []Span) error {
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
+}
+
+// WriteFile writes spans to path: JSON Lines for a .jsonl suffix,
+// Chrome trace_event JSON otherwise.
+func WriteFile(path string, spans []Span) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".jsonl") {
+		err = WriteJSONL(f, spans)
+	} else {
+		err = WriteChrome(f, spans)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -174,6 +176,29 @@ func TestWriteChromeShape(t *testing.T) {
 	}
 	if !strings.HasPrefix(out, "{") || !strings.HasSuffix(strings.TrimSpace(out), "]}") {
 		t.Fatalf("Chrome export is not a closed JSON document:\n%s", out)
+	}
+}
+
+func TestWriteFileBySuffix(t *testing.T) {
+	spans := []Span{{ID: 1, Start: 1000, End: 2000, Kind: KindControl, Name: "lldp.emit"}}
+	var jsonl, chrome strings.Builder
+	if err := WriteJSONL(&jsonl, spans); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteChrome(&chrome, spans); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for path, want := range map[string]string{
+		filepath.Join(dir, "t.jsonl"): jsonl.String(),
+		filepath.Join(dir, "t.json"):  chrome.String(),
+	} {
+		if err := WriteFile(path, spans); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("WriteFile(%s) = %q, %v; want %q", path, got, err, want)
+		}
 	}
 }
 
