@@ -84,7 +84,7 @@ func run(args []string) error {
 	discoveryK := fs.String("discoveryk", "4,8,16,32", "discovery experiment: comma-separated fat-tree arities for the load scan")
 	discoveryOut := fs.String("discoveryout", "", "discovery experiment: write the JSON report to this file")
 	chaosTrials := fs.Int("chaostrials", 5, "chaos experiment: seeded trials per fault class")
-	chaosClasses := fs.String("chaosclasses", "", "chaos experiment: comma-separated fault classes (default all: flap-storm,loss-episode,latency-spike,disconnect)")
+	chaosClasses := fs.String("chaosclasses", "", "chaos experiment: comma-separated fault classes (default all: flap-storm,loss-episode,latency-spike,disconnect,controller-crash)")
 	chaosOut := fs.String("chaosout", "", "chaos experiment: write the JSON report to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile, taken after the run, to this file")
@@ -491,7 +491,7 @@ func printSecBind(seed int64) error {
 // registry, the span recorder when tracePath is set, and the
 // (wall-clock, hence non-deterministic) kernel profile.
 func printObs(seed int64, metricsPath, tracePath string) error {
-	header("OBSERVABILITY: metrics, events and kernel profile (Fig 9 testbed, TOPOGUARD+)")
+	header("OBSERVABILITY: metrics and kernel profile (Fig 9 testbed, TOPOGUARD+)")
 	s := core.NewFig9Testbed(seed, core.TopoGuardPlus())
 	defer s.Close()
 	var recorder *trace.Recorder
@@ -533,20 +533,10 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 		fmt.Printf("\nmetrics snapshot written to %s\n", metricsPath)
 	}
 	if recorder != nil {
-		if err := writeSpans(trace.Merge(recorder), recorder.Dropped(), tracePath); err != nil {
+		if err := trace.WriteFileReport(os.Stdout, tracePath, trace.Merge(recorder), recorder.Dropped()); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// writeSpans exports a canonical span stream to path (see
-// trace.WriteFile) and reports it.
-func writeSpans(spans []trace.Span, dropped uint64, path string) error {
-	if err := trace.WriteFile(path, spans); err != nil {
-		return err
-	}
-	fmt.Printf("trace: %d spans written to %s (%d dropped from the ring)\n", len(spans), path, dropped)
 	return nil
 }
 
@@ -605,7 +595,7 @@ func printScale(seed int64, shards int, scaleK string, rounds int, parallel bool
 		}
 	}
 	if lastTraced != nil {
-		if err := writeSpans(lastTraced.Spans, lastTraced.SpansDropped, tracePath); err != nil {
+		if err := trace.WriteFileReport(os.Stdout, tracePath, lastTraced.Spans, lastTraced.SpansDropped); err != nil {
 			return err
 		}
 		fmt.Println("shard health gauges (execution geometry, last arity):")

@@ -25,14 +25,11 @@ import (
 	"time"
 
 	"sdntamper/internal/controller"
-	"sdntamper/internal/lldp"
+	"sdntamper/internal/core"
 	"sdntamper/internal/obs"
 	"sdntamper/internal/obs/trace"
 	"sdntamper/internal/rtnet"
 	"sdntamper/internal/sim"
-	"sdntamper/internal/sphinx"
-	"sdntamper/internal/tgplus"
-	"sdntamper/internal/topoguard"
 )
 
 func main() {
@@ -44,16 +41,6 @@ func main() {
 	}
 }
 
-// defenseStacks maps each accepted -defense value to the modules it
-// enables. The bool trio is (TopoGuard, SPHINX, TopoGuard+ extensions).
-var defenseStacks = map[string][3]bool{
-	"none":       {false, false, false},
-	"topoguard":  {true, false, false},
-	"sphinx":     {false, true, false},
-	"both":       {true, true, false},
-	"topoguard+": {true, false, true},
-}
-
 // run is the daemon body, factored out of main so tests can drive it:
 // args are the command-line arguments, sig delivers the shutdown signal,
 // and all status output goes to out.
@@ -62,7 +49,7 @@ func run(args []string, sig <-chan os.Signal, out io.Writer) error {
 	addr := fs.String("addr", "127.0.0.1:6653", "listen address for switch connections")
 	httpAddr := fs.String("http", "", "listen address for the observability HTTP endpoint (/metrics, /topology, /metrics/stream, /trace/stream); empty disables")
 	pprofAddr := fs.String("pprof", "", "listen address for the net/http/pprof profiling endpoint (/debug/pprof/); empty disables")
-	defense := fs.String("defense", "topoguard+", "defense stack: none, topoguard, sphinx, both, topoguard+")
+	defense := fs.String("defense", "topoguard+", "defense stack: "+core.DefenseNames())
 	profileName := fs.String("profile", "floodlight", "timing profile: floodlight, pox, opendaylight")
 	seed := fs.Int64("seed", 0, "simulation RNG seed (0 derives one from the wall clock)")
 	status := fs.Duration("status", 10*time.Second, "status print interval (0 disables)")
@@ -81,11 +68,10 @@ func run(args []string, sig <-chan os.Signal, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown profile %q", *profileName)
 	}
-	stack, ok := defenseStacks[*defense]
-	if !ok {
-		return fmt.Errorf("unknown defense %q (want none, topoguard, sphinx, both, or topoguard+)", *defense)
+	def, err := core.ParseDefenses(*defense)
+	if err != nil {
+		return err
 	}
-	wantTG, wantSphinx, wantTGPlus := stack[0], stack[1], stack[2]
 
 	if *seed == 0 {
 		*seed = time.Now().UnixNano()
@@ -98,37 +84,17 @@ func run(args []string, sig <-chan os.Signal, out io.Writer) error {
 			fmt.Fprintf(out, "[ctl] "+format+"\n", a...)
 		}),
 	}
-	if wantTG || wantTGPlus {
-		kc, err := lldp.NewKeychain([]byte(fmt.Sprintf("controllerd-%d", *seed)))
-		if err != nil {
-			return err
-		}
-		opts = append(opts, controller.WithKeychain(kc))
-		if wantTGPlus {
-			opts = append(opts, controller.WithLLDPTimestamps())
-		}
+	// The LLDP keys derive from the seed: daemons on different seeds
+	// hold different keys.
+	lldpOpts, err := def.ControllerOptions(fmt.Sprintf("controllerd-%d", *seed))
+	if err != nil {
+		return err
 	}
-	ctl := controller.New(kernel, opts...)
+	ctl := controller.New(kernel, append(opts, lldpOpts...)...)
 	defer ctl.Shutdown()
 	obs.InstrumentKernel(ctl.Metrics(), kernel)
-	if wantTG {
-		ctl.Register(topoguard.New())
-	}
-	var spx *sphinx.Sphinx
-	if wantSphinx {
-		spx = sphinx.New(sphinx.DefaultConfig())
-		ctl.Register(spx)
-		spx.Start()
-		defer spx.Stop()
-	}
-	var lli *tgplus.LLI
-	if wantTGPlus {
-		ctl.Register(tgplus.NewCMM(0))
-		lli = tgplus.NewLLI(tgplus.DefaultLLIConfig())
-		ctl.Register(lli)
-		lli.Start()
-		defer lli.Stop()
-	}
+	mods := def.Deploy(ctl, nil)
+	defer mods.Stop()
 
 	driver := rtnet.NewDriver(kernel)
 	driver.Start()

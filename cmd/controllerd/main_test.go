@@ -54,69 +54,82 @@ func TestRunRejectsBadFlags(t *testing.T) {
 
 // TestRunServesAndShutsDown boots the full daemon on ephemeral ports,
 // scrapes the observability endpoint, and shuts it down via the signal
-// channel, covering the -seed, -http, and clean-exit paths.
+// channel, covering the -seed, -http, -defense and clean-exit paths.
+// The full stack adds the rate monitor, whose port-statistics poll
+// ticks on the daemon's real-time kernel.
 func TestRunServesAndShutsDown(t *testing.T) {
-	sig := make(chan os.Signal, 1)
-	out := &syncBuffer{}
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-addr", "127.0.0.1:0",
-			"-http", "127.0.0.1:0",
-			"-seed", "42",
-			"-status", "0",
-			"-defense", "topoguard+",
-		}, sig, out)
-	}()
-
-	httpRe := regexp.MustCompile(`observability endpoint on (http://[^/\s]+)/metrics`)
-	var base string
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if m := httpRe.FindStringSubmatch(out.String()); m != nil {
-			base = m[1]
-			break
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("daemon exited early: %v\noutput:\n%s", err, out.String())
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	if base == "" {
-		t.Fatalf("HTTP endpoint never announced; output:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "seed 42\n") {
-		t.Errorf("chosen seed not logged; output:\n%s", out.String())
-	}
-
-	metrics := httpGet(t, base+"/metrics")
-	for _, want := range []string{
-		"# TYPE controller_packetin_total counter",
-		"controller_packetin_total 0",
-		"# TYPE sim_events_executed_total counter",
-		`defense_verdicts_total{module="TopoGuard",verdict="pass"} 0`,
+	for _, tc := range []struct {
+		defense string
+		metric  string // a series the stack's last module registers
+	}{
+		{"topoguard+", "# TYPE lli_link_latency_seconds histogram"},
+		{"full", "ratemon_blocks_total 0"},
 	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q; got:\n%s", want, metrics)
-		}
-	}
-	topo := httpGet(t, base+"/topology")
-	if !strings.Contains(topo, "digraph topology") {
-		t.Errorf("/topology is not DOT; got:\n%s", topo)
-	}
+		t.Run(tc.defense, func(t *testing.T) {
+			sig := make(chan os.Signal, 1)
+			out := &syncBuffer{}
+			done := make(chan error, 1)
+			go func() {
+				done <- run([]string{
+					"-addr", "127.0.0.1:0",
+					"-http", "127.0.0.1:0",
+					"-seed", "42",
+					"-status", "0",
+					"-defense", tc.defense,
+				}, sig, out)
+			}()
 
-	sig <- os.Interrupt
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("daemon did not shut down after signal")
-	}
-	if !strings.Contains(out.String(), "shutting down") {
-		t.Errorf("missing shutdown message; output:\n%s", out.String())
+			httpRe := regexp.MustCompile(`observability endpoint on (http://[^/\s]+)/metrics`)
+			var base string
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) {
+				if m := httpRe.FindStringSubmatch(out.String()); m != nil {
+					base = m[1]
+					break
+				}
+				select {
+				case err := <-done:
+					t.Fatalf("daemon exited early: %v\noutput:\n%s", err, out.String())
+				case <-time.After(10 * time.Millisecond):
+				}
+			}
+			if base == "" {
+				t.Fatalf("HTTP endpoint never announced; output:\n%s", out.String())
+			}
+			if !strings.Contains(out.String(), "seed 42\n") {
+				t.Errorf("chosen seed not logged; output:\n%s", out.String())
+			}
+
+			metrics := httpGet(t, base+"/metrics")
+			for _, want := range []string{
+				"# TYPE controller_packetin_total counter",
+				"controller_packetin_total 0",
+				"# TYPE sim_events_executed_total counter",
+				`defense_verdicts_total{module="TopoGuard",verdict="pass"} 0`,
+				tc.metric,
+			} {
+				if !strings.Contains(metrics, want) {
+					t.Errorf("/metrics missing %q; got:\n%s", want, metrics)
+				}
+			}
+			topo := httpGet(t, base+"/topology")
+			if !strings.Contains(topo, "digraph topology") {
+				t.Errorf("/topology is not DOT; got:\n%s", topo)
+			}
+
+			sig <- os.Interrupt
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("run returned %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("daemon did not shut down after signal")
+			}
+			if !strings.Contains(out.String(), "shutting down") {
+				t.Errorf("missing shutdown message; output:\n%s", out.String())
+			}
+		})
 	}
 }
 

@@ -56,7 +56,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("topotamper", flag.ContinueOnError)
 	scenarioName := fs.String("scenario", "fig9", "topology: fig1, fig2, fig9")
-	defenseName := fs.String("defense", "topoguard+", "defense stack: none, topoguard, sphinx, both, topoguard+, ratemon, full")
+	defenseName := fs.String("defense", "topoguard+", "defense stack: "+core.DefenseNames())
 	attackName := fs.String("attack", "oob-amnesia", "attack: none, naive-fabrication, amnesia (alias oob-amnesia), inband-amnesia, naive-hijack, port-probing, alert-flood, synflood, saturation")
 	duration := fs.Duration("duration", 2*time.Minute, "virtual time to run")
 	seed := fs.Int64("seed", 1, "simulation seed")
@@ -213,10 +213,9 @@ func run(args []string) error {
 // defense reached its decision.
 func exportSpans(rec *spantrace.Recorder, path string) error {
 	spans := spantrace.Merge(rec)
-	if err := spantrace.WriteFile(path, spans); err != nil {
+	if err := spantrace.WriteFileReport(os.Stdout, path, spans, rec.Dropped()); err != nil {
 		return err
 	}
-	fmt.Printf("trace: %d spans written to %s (%d dropped from the ring)\n", len(spans), path, rec.Dropped())
 	verdicts := spantrace.FindByName(spans, "verdict.block")
 	if len(verdicts) == 0 {
 		verdicts = spantrace.FindByName(spans, "verdict.flag")
@@ -295,7 +294,7 @@ func withLog(logf func(string, ...any)) []controller.Option {
 
 // buildScenario constructs the named topology with the named defense stack.
 func buildScenario(scenarioName, defenseName string, seed int64, logf func(string, ...any)) (*core.Scenario, error) {
-	defenses, err := parseDefense(defenseName)
+	defenses, err := core.ParseDefenses(defenseName)
 	if err != nil {
 		return nil, err
 	}
@@ -474,27 +473,6 @@ func launchAttack(s *core.Scenario, scenarioName, attackName string, logf func(s
 		return fmt.Errorf("unknown attack %q", attackName)
 	}
 	return nil
-}
-
-func parseDefense(name string) (core.Defenses, error) {
-	switch name {
-	case "none":
-		return core.NoDefenses(), nil
-	case "topoguard":
-		return core.TopoGuardOnly(), nil
-	case "sphinx":
-		return core.SphinxOnly(), nil
-	case "both":
-		return core.BothBaselines(), nil
-	case "topoguard+", "tgplus":
-		return core.TopoGuardPlus(), nil
-	case "ratemon":
-		return core.RateMonOnly(), nil
-	case "full", "fullstack":
-		return core.FullStack(), nil
-	default:
-		return core.Defenses{}, fmt.Errorf("unknown defense %q", name)
-	}
 }
 
 func indent(s string) string {

@@ -6,6 +6,7 @@ import (
 
 	"sdntamper/internal/cluster"
 	"sdntamper/internal/controller"
+	"sdntamper/internal/core"
 	"sdntamper/internal/dataplane"
 	"sdntamper/internal/netsim"
 	"sdntamper/internal/obs"
@@ -23,7 +24,8 @@ type ClusterTestbed struct {
 	Net     *netsim.Network
 	Cluster *cluster.Cluster
 
-	replicas []replica
+	// mods are each replica's modules, in replica order.
+	mods []core.Modules
 }
 
 // NewClusterTestbed assembles the clustered testbed: replicas controller
@@ -50,11 +52,7 @@ func NewClusterTestbed(seed int64, replicas int, trunkLatency sim.Sampler) (*Clu
 			// keychain so every replica verifies every other's LLDP.
 			ctl = controller.New(net.Kernel, append([]controller.Option{controller.WithMetrics(net.Metrics())}, opts...)...)
 		}
-		r := cl.AddReplica(ctl)
-		_, _, lli := deployTopoGuardPlus(ctl)
-		r.OnCrash(lli.Stop)
-		r.OnRestart(lli.Start)
-		tb.replicas = append(tb.replicas, replica{ctl: ctl, lli: lli})
+		tb.mods = append(tb.mods, stack.Deploy(ctl, cl.AddReplica(ctl)))
 	}
 
 	// Mastership splits the line down the middle: the first half of the
@@ -70,15 +68,20 @@ func NewClusterTestbed(seed int64, replicas int, trunkLatency sim.Sampler) (*Clu
 // AlertTotal sums the alerts every replica has raised.
 func (tb *ClusterTestbed) AlertTotal() int {
 	total := 0
-	for _, r := range tb.replicas {
-		total += len(r.ctl.Alerts())
+	for _, r := range tb.Cluster.Replicas() {
+		total += len(r.Ctl.Alerts())
 	}
 	return total
 }
 
-// Close stops every replica's defense tickers and controllers.
+// Close stops every replica's defense tickers and controllers, then the
+// network.
 func (tb *ClusterTestbed) Close() {
-	closeLine(tb.Net, tb.replicas...)
+	for i, r := range tb.Cluster.Replicas() {
+		tb.mods[i].Stop()
+		r.Ctl.Shutdown()
+	}
+	tb.Net.Shutdown()
 }
 
 // runClusterTrial is runTrial for the controller-crash class: warm a
@@ -135,8 +138,8 @@ func runClusterTrial(s trialSpec, cfg Config) (TrialResult, *obs.Registry, error
 	}
 	res.FalseAlerts = tb.AlertTotal() - alertsBefore
 
-	for _, r := range tb.replicas {
-		r.lli.Stop()
+	for _, m := range tb.mods {
+		m.LLI.Stop()
 	}
 	if err := net.Run(10 * time.Second); err != nil {
 		return TrialResult{}, nil, err

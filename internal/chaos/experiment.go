@@ -5,14 +5,12 @@ import (
 	"time"
 
 	"sdntamper/internal/controller"
+	"sdntamper/internal/core"
 	"sdntamper/internal/dataplane"
 	"sdntamper/internal/exp"
-	"sdntamper/internal/lldp"
 	"sdntamper/internal/netsim"
 	"sdntamper/internal/obs"
 	"sdntamper/internal/sim"
-	"sdntamper/internal/tgplus"
-	"sdntamper/internal/topoguard"
 )
 
 // Testbed is the chaos evaluation network: the Figure 9 line of four
@@ -21,10 +19,8 @@ import (
 // LLDP. No attacker is present: every alert the defenses raise during a
 // fault episode is a false positive.
 type Testbed struct {
-	Net       *netsim.Network
-	TopoGuard *topoguard.TopoGuard
-	CMM       *tgplus.CMM
-	LLI       *tgplus.LLI
+	Net *netsim.Network
+	core.Modules
 }
 
 // NewTestbed assembles the chaos testbed on the given seed with the
@@ -42,27 +38,30 @@ func NewTestbedWith(seed int64, trunkLatency sim.Sampler) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb := &Testbed{Net: net}
-	tb.TopoGuard, tb.CMM, tb.LLI = deployTopoGuardPlus(net.Controller)
-	return tb, nil
+	return &Testbed{Net: net, Modules: stack.Deploy(net.Controller, nil)}, nil
 }
 
 // Close stops background tickers.
-func (tb *Testbed) Close() { closeLine(tb.Net, replica{tb.Net.Controller, tb.LLI}) }
+func (tb *Testbed) Close() {
+	tb.Stop()
+	tb.Net.Shutdown()
+}
+
+// stack is the defense stack both chaos testbeds deploy on every
+// controller.
+var stack = core.TopoGuardPlus()
 
 // newLine builds the network both chaos testbeds run on: the Figure 9
 // line of four switches joined by three trunks (trunkLatency, nil for
 // the Figure 9 default) and end hosts h1 and h2 on the outer switches,
-// under a controller speaking authenticated, timestamped LLDP. With
-// autoAttach off the switches are left for a cluster to attach. It also
-// returns the LLDP options the controller was built with, so extra
-// replicas verify each other's probes.
+// under a controller built with the stack's options. With autoAttach
+// off the switches are left for a cluster to attach. It also returns
+// those options, so extra replicas share the network's LLDP keychain.
 func newLine(seed int64, trunkLatency sim.Sampler, autoAttach bool) (*netsim.Network, []controller.Option, error) {
-	kc, err := lldp.NewKeychain([]byte("controller-lldp-secret"))
+	opts, err := stack.ControllerOptions(core.LLDPSecret)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := []controller.Option{controller.WithKeychain(kc), controller.WithLLDPTimestamps()}
 	net := netsim.New(seed, opts...)
 	net.SetAutoAttach(autoAttach)
 	for dpid := uint64(1); dpid <= 4; dpid++ {
@@ -75,33 +74,6 @@ func newLine(seed int64, trunkLatency sim.Sampler, autoAttach bool) (*netsim.Net
 	net.AddHost("h2", "cc:cc:cc:cc:cc:02", "10.0.0.2", 4, 1, nil,
 		dataplane.WithOpenTCPPorts(80))
 	return net, opts, nil
-}
-
-// deployTopoGuardPlus registers TopoGuard, the CMM and the LLI on a
-// controller, in that order, and starts the LLI's ticker.
-func deployTopoGuardPlus(ctl *controller.Controller) (*topoguard.TopoGuard, *tgplus.CMM, *tgplus.LLI) {
-	tg, cmm, lli := topoguard.New(), tgplus.NewCMM(0), tgplus.NewLLI(tgplus.DefaultLLIConfig())
-	ctl.Register(tg)
-	ctl.Register(cmm)
-	ctl.Register(lli)
-	lli.Start()
-	return tg, cmm, lli
-}
-
-// replica is one of a testbed's controllers and the LLI deployed on it.
-type replica struct {
-	ctl *controller.Controller
-	lli *tgplus.LLI
-}
-
-// closeLine stops every replica's LLI ticker and controller, then the
-// network's controller and switches.
-func closeLine(net *netsim.Network, replicas ...replica) {
-	for _, r := range replicas {
-		r.lli.Stop()
-		r.ctl.Shutdown()
-	}
-	net.Shutdown()
 }
 
 // Config parameterizes a chaos experiment run.

@@ -10,7 +10,6 @@ import (
 	"sdntamper/internal/cluster"
 	"sdntamper/internal/controller"
 	"sdntamper/internal/dataplane"
-	"sdntamper/internal/link"
 	"sdntamper/internal/netsim"
 	"sdntamper/internal/ratemon"
 	"sdntamper/internal/tgplus"
@@ -29,15 +28,12 @@ import (
 // Trunks use the steady (burst-free) latency so a defense alert in a
 // cluster experiment is evidence, never an IQR-tail artifact.
 type ClusterScenario struct {
-	Net     *netsim.Network
+	// Scenario's Modules are replica 0's; Run, Host, Close and the
+	// alert counts span every replica. OOB is the attackers' side
+	// channel (unwired until an attack bridges it), living on the
+	// control shard like the attacker hosts.
+	Scenario
 	Cluster *cluster.Cluster
-	Def     Defenses
-	// OOB is the attackers' side channel (unwired until an attack
-	// bridges it), living on the control shard like the attacker hosts.
-	OOB *link.Channel
-
-	ctls []*controller.Controller
-	mods []defenseModules
 }
 
 // fig9ClusterPartition spreads the Figure 9 line over the shards while
@@ -65,7 +61,10 @@ func fig9ClusterPartition(shards int) map[uint64]int {
 // baselines for a link's endpoints records the LLI measurement
 // unenforced instead of guessing.
 func NewClusterFig9Scenario(seed int64, shards int, def Defenses, replicate bool) *ClusterScenario {
-	net := netsim.NewSharded(seed, shards, fig9ClusterPartition(shards), defenseOptions(def, nil)...)
+	// One set of options for the whole network: every replica shares its
+	// LLDP keychain.
+	opts := scenarioOptions(def)
+	net := netsim.NewSharded(seed, shards, fig9ClusterPartition(shards), opts...)
 	net.SetAutoAttach(false)
 	for dpid := uint64(1); dpid <= 4; dpid++ {
 		net.AddSwitch(dpid, nil)
@@ -85,7 +84,7 @@ func NewClusterFig9Scenario(seed int64, shards int, def Defenses, replicate bool
 	ccfg.Replicate = replicate
 	cl := cluster.New(net, ccfg)
 
-	s := &ClusterScenario{Net: net, Cluster: cl, Def: def, OOB: oob}
+	s := &ClusterScenario{Scenario: Scenario{Net: net, Def: def, OOB: oob}, Cluster: cl}
 	for i := 0; i < 2; i++ {
 		ctl := net.Controller
 		if i > 0 {
@@ -93,15 +92,10 @@ func NewClusterFig9Scenario(seed int64, shards int, def Defenses, replicate bool
 			// control shard's registry, so merged metrics aggregate the
 			// whole control plane and stay byte-identical across shard
 			// counts.
-			opts := append([]controller.Option{controller.WithMetrics(net.ShardMetrics(0))},
-				defenseOptions(def, nil)...)
-			ctl = controller.New(net.ControlKernel(), opts...)
+			ctl = controller.New(net.ControlKernel(),
+				append([]controller.Option{controller.WithMetrics(net.ShardMetrics(0))}, opts...)...)
 		}
-		r := cl.AddReplica(ctl)
-		m := deployDefenses(ctl, def)
-		m.stopWith(r)
-		s.ctls = append(s.ctls, ctl)
-		s.mods = append(s.mods, m)
+		s.deployOn(ctl, cl.AddReplica(ctl))
 	}
 	cl.SetMaster(1, 0)
 	cl.SetMaster(2, 0)
@@ -111,47 +105,7 @@ func NewClusterFig9Scenario(seed int64, shards int, def Defenses, replicate bool
 }
 
 // Replica returns one replica's controller.
-func (s *ClusterScenario) Replica(i int) *controller.Controller { return s.ctls[i] }
-
-// LLI returns one replica's Link Latency Inspector (nil if not deployed).
-func (s *ClusterScenario) LLI(i int) *tgplus.LLI { return s.mods[i].LLI }
-
-// Run advances the whole simulation.
-func (s *ClusterScenario) Run(d time.Duration) error { return s.Net.Run(d) }
-
-// Close stops every replica's defense tickers and controllers.
-func (s *ClusterScenario) Close() {
-	for _, m := range s.mods {
-		m.stop()
-	}
-	for _, ctl := range s.ctls {
-		ctl.Shutdown()
-	}
-	s.Net.Shutdown()
-}
-
-// AlertTotal sums the alerts every replica has raised.
-func (s *ClusterScenario) AlertTotal() int {
-	total := 0
-	for _, ctl := range s.ctls {
-		total += len(ctl.Alerts())
-	}
-	return total
-}
-
-// Host returns the named host.
-func (s *ClusterScenario) Host(name string) *dataplane.Host { return s.Net.Host(name) }
-
-// alerts counts the alerts every replica raised for any of the reasons.
-func (s *ClusterScenario) alerts(reasons []string) int {
-	total := 0
-	for _, ctl := range s.ctls {
-		for _, r := range reasons {
-			total += len(ctl.AlertsByReason(r))
-		}
-	}
-	return total
-}
+func (s *ClusterScenario) Replica(i int) *controller.Controller { return s.stacks[i].ctl }
 
 // detectedBy maps the fired alert reasons to defense names, cluster-wide.
 func (s *ClusterScenario) detectedBy() []string {
@@ -246,7 +200,7 @@ func RunFailover(seed int64, shards int, parallel bool) (*FailoverResult, error)
 	// the end of the blind window; the failover timeline completes
 	// independently. Fixed-step polling keeps the measurement a pure
 	// function of virtual time.
-	winnerLLI := s.LLI(0)
+	winnerLLI := s.LLI
 	res.BlindWindowNs = -1
 	const step = 50 * time.Millisecond
 	for waited := time.Duration(0); waited <= 30*time.Second; waited += step {

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"sdntamper/internal/chaos"
+	"sdntamper/internal/controller"
 	"sdntamper/internal/core"
 	"sdntamper/internal/exp"
 )
@@ -153,4 +156,76 @@ func TestPartitionedMatrixByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// nonceLog records the origin port of each timestamped LLDP probe a
+// controller receives, keyed by the probe's AES-GCM nonce.
+type nonceLog struct {
+	origin map[string]controller.PortRef
+	reused int
+}
+
+func (l *nonceLog) ModuleName() string { return "test/nonce-log" }
+
+func (l *nonceLog) InterceptPacketIn(ev *controller.PacketInEvent) bool {
+	const nonceSize = 12 // the standard GCM nonce
+	if ev.LLDP == nil || len(ev.LLDP.Timestamp) < nonceSize {
+		return true
+	}
+	nonce := string(ev.LLDP.Timestamp[:nonceSize])
+	origin := controller.PortRef{DPID: ev.LLDP.ChassisID, Port: ev.LLDP.PortID}
+	if prev, seen := l.origin[nonce]; !seen {
+		l.origin[nonce] = origin
+	} else if prev != origin {
+		l.reused++
+	}
+	return true
+}
+
+// TestReplicasShareOneKeychain pins the rule of one LLDP keychain per
+// network: a cluster's replicas hold the same keychain, so no AES-GCM
+// nonce is sealed twice under their shared keys. Two keychains from one
+// secret each count nonces from 0, and replicas probing their own
+// switches then seal different timestamps under the same nonce.
+func TestReplicasShareOneKeychain(t *testing.T) {
+	check := func(t *testing.T, ctls []*controller.Controller, run func(time.Duration) error) {
+		log := &nonceLog{origin: map[string]controller.PortRef{}}
+		for _, ctl := range ctls {
+			ctl.Register(log)
+		}
+		if err := run(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		kc := ctls[0].Keychain()
+		for i, ctl := range ctls {
+			if kc == nil || ctl.Keychain() != kc {
+				t.Errorf("replica %d holds keychain %p, replica 0 holds %p", i, ctl.Keychain(), kc)
+			}
+		}
+		if len(log.origin) == 0 {
+			t.Fatal("no timestamped probe was received")
+		}
+		if log.reused != 0 {
+			t.Errorf("%d nonces sealed for two origins across %d received nonces", log.reused, len(log.origin))
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cluster-fig9/%d-shards", shards), func(t *testing.T) {
+			s := core.NewClusterFig9Scenario(1, shards, core.TopoGuardPlus(), true)
+			defer s.Close()
+			check(t, []*controller.Controller{s.Replica(0), s.Replica(1)}, s.Run)
+		})
+	}
+	t.Run("chaos-cluster-testbed", func(t *testing.T) {
+		tb, err := chaos.NewClusterTestbed(1, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		var ctls []*controller.Controller
+		for _, r := range tb.Cluster.Replicas() {
+			ctls = append(ctls, r.Ctl)
+		}
+		check(t, ctls, tb.Net.Run)
+	})
 }

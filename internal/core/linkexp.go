@@ -6,7 +6,6 @@ import (
 
 	"sdntamper/internal/attack"
 	"sdntamper/internal/controller"
-	"sdntamper/internal/lldp"
 	"sdntamper/internal/stats"
 	"sdntamper/internal/tgplus"
 )
@@ -185,12 +184,11 @@ func RunInBandLatency(seed int64, total time.Duration) (*InBandLatencyResult, er
 	// each frame's own sealed departure time, so a relayed frame reports
 	// its true delay even when the controller has since emitted fresher
 	// probes for the same origin port.
-	kc, err := lldp.NewKeychain([]byte("measurement-keys"))
+	opts, err := Defenses{LLI: true}.ControllerOptions("measurement-keys")
 	if err != nil {
 		return nil, err
 	}
-	s := NewFig9Testbed(seed, NoDefenses(),
-		controller.WithKeychain(kc), controller.WithLLDPTimestamps())
+	s := NewFig9Testbed(seed, NoDefenses(), opts...)
 	defer s.Close()
 	rec := &propagationRecorder{fabricated: FabricatedLinkFig9()}
 	s.Controller().Register(rec)

@@ -294,15 +294,6 @@ func portProbingCell(col matrixColumn, seed int64) (cellResult, error) {
 // dosAlertReasons are the alert codes that count as detecting a flood.
 var dosAlertReasons = []string{ratemon.ReasonPortFlood}
 
-// floodTestbed is what the flood script needs from a Figure 9 testbed,
-// single-controller or clustered.
-type floodTestbed interface {
-	Run(d time.Duration) error
-	Host(name string) *dataplane.Host
-	// alerts counts the alerts raised for any of the reasons.
-	alerts(reasons []string) int
-}
-
 // floodCell runs one flood variant on the column's Figure 9 testbed. A
 // column with the rate monitor tunes it for the variant.
 func floodCell(variant attack.DoSVariant) matrixCell {
@@ -320,7 +311,7 @@ func floodCell(variant attack.DoSVariant) matrixCell {
 		}
 		s := col.cluster.scenario(seed, def)
 		defer s.Close()
-		v, err := runFlood(s, variant, seed)
+		v, err := runFlood(&s.Scenario, variant, seed)
 		if err != nil {
 			return cellResult{}, err
 		}
@@ -332,16 +323,16 @@ func floodCell(variant attack.DoSVariant) matrixCell {
 // its own switch) for 8 s and scores the flood. Only the rate monitor
 // reacts to volume, so the topology-integrity stacks are expected to
 // score Undetected here.
-func runFlood(tb floodTestbed, variant attack.DoSVariant, seed int64) (Verdict, error) {
-	if err := tb.Run(2 * time.Second); err != nil {
+func runFlood(s *Scenario, variant attack.DoSVariant, seed int64) (Verdict, error) {
+	if err := s.Run(2 * time.Second); err != nil {
 		return Failed, err
 	}
-	victim := tb.Host(HostServer)
-	attackers := []*dataplane.Host{tb.Host(HostAttackerA), tb.Host(HostAttackerB)}
+	victim := s.Host(HostServer)
+	attackers := []*dataplane.Host{s.Host(HostAttackerA), s.Host(HostAttackerB)}
 	for _, a := range attackers {
 		a.ARPPing(victim.IP(), time.Second, func(dataplane.ProbeResult) {})
 	}
-	if err := tb.Run(2 * time.Second); err != nil {
+	if err := s.Run(2 * time.Second); err != nil {
 		return Failed, err
 	}
 	cfg := attack.DoSConfig{Variant: variant, Seed: seed}
@@ -352,20 +343,20 @@ func runFlood(tb floodTestbed, variant attack.DoSVariant, seed int64) (Verdict, 
 	}
 	flood := attack.NewDoS(attackers, victim.MAC(), victim.IP(), cfg)
 	flood.Announce()
-	if err := tb.Run(time.Second); err != nil {
+	if err := s.Run(time.Second); err != nil {
 		return Failed, err
 	}
 	rxBefore := victim.RxFrames()
 	flood.Start()
-	if err := tb.Run(8 * time.Second); err != nil {
+	if err := s.Run(8 * time.Second); err != nil {
 		return Failed, err
 	}
 	flood.Stop()
-	if err := tb.Run(time.Second); err != nil {
+	if err := s.Run(time.Second); err != nil {
 		return Failed, err
 	}
 	delivered := float64(victim.RxFrames()-rxBefore) / float64(flood.PacketsSent())
-	return floodVerdict(tb.alerts(dosAlertReasons) > 0, delivered), nil
+	return floodVerdict(s.alerts(dosAlertReasons) > 0, delivered), nil
 }
 
 func seedFig2Bindings(s *Scenario) error {

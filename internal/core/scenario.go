@@ -5,75 +5,38 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"sdntamper/internal/cluster"
 	"sdntamper/internal/controller"
 	"sdntamper/internal/dataplane"
 	"sdntamper/internal/link"
-	"sdntamper/internal/lldp"
 	"sdntamper/internal/netsim"
-	"sdntamper/internal/ratemon"
 	"sdntamper/internal/sim"
-	"sdntamper/internal/sphinx"
-	"sdntamper/internal/tgplus"
-	"sdntamper/internal/topoguard"
 )
 
-// Defenses selects which security modules a scenario deploys. The paper's
-// TOPOGUARD+ configuration is TopoGuard + CMM + LLI.
-type Defenses struct {
-	TopoGuard bool
-	Sphinx    bool
-	CMM       bool
-	LLI       bool
-	RateMon   bool
-	// LLIConfig overrides the Link Latency Inspector configuration
-	// (nil uses tgplus.DefaultLLIConfig). Ablation experiments use it to
-	// vary the IQR multiplier, window size and control averaging.
-	LLIConfig *tgplus.LLIConfig
-	// RateMonConfig overrides the rate monitor configuration (nil uses
-	// ratemon.DefaultConfig). DoS experiments use it to match the
-	// threshold to the modeled access-link bandwidth.
-	RateMonConfig *ratemon.Config
-}
-
-// NoDefenses deploys a stock controller.
-func NoDefenses() Defenses { return Defenses{} }
-
-// TopoGuardOnly deploys the NDSS'15 defense alone.
-func TopoGuardOnly() Defenses { return Defenses{TopoGuard: true} }
-
-// SphinxOnly deploys the SPHINX surrogate alone.
-func SphinxOnly() Defenses { return Defenses{Sphinx: true} }
-
-// BothBaselines deploys TopoGuard and SPHINX together, the strongest
-// pre-existing configuration the paper bypasses.
-func BothBaselines() Defenses { return Defenses{TopoGuard: true, Sphinx: true} }
-
-// TopoGuardPlus deploys the paper's full defense.
-func TopoGuardPlus() Defenses { return Defenses{TopoGuard: true, CMM: true, LLI: true} }
-
-// RateMonOnly deploys the rate-based DoS monitor alone.
-func RateMonOnly() Defenses { return Defenses{RateMon: true} }
-
-// FullStack deploys TOPOGUARD+ plus the rate-based DoS monitor: the
-// strongest configuration, covering both topology tampering and
-// volumetric flooding.
-func FullStack() Defenses {
-	return Defenses{TopoGuard: true, CMM: true, LLI: true, RateMon: true}
-}
-
-// Scenario is an assembled network with its deployed defense modules
-// (TopoGuard, Sphinx, CMM, LLI and RateMon, nil when not selected).
+// Scenario is an assembled network with its deployed defense stack.
 type Scenario struct {
 	Net *netsim.Network
 	Def Defenses
 
-	defenseModules
+	// Modules are the stack deployed on the network's controller, which
+	// is replica 0 in a cluster.
+	Modules
 
 	// OOB is the attackers' side channel, when the scenario has one.
 	OOB *link.Channel
+
+	// stacks pairs each of the network's controllers with its modules:
+	// the network's own controller first, then a cluster's replicas.
+	stacks []stack
+}
+
+// stack is one controller and the modules deployed on it.
+type stack struct {
+	ctl *controller.Controller
+	Modules
 }
 
 // Controller is a convenience accessor.
@@ -85,120 +48,69 @@ func (s *Scenario) Run(d time.Duration) error { return s.Net.Run(d) }
 // Host returns the named host.
 func (s *Scenario) Host(name string) *dataplane.Host { return s.Net.Host(name) }
 
-// alerts counts the alerts the controller raised for any of the reasons.
-func (s *Scenario) alerts(reasons []string) int {
-	n := 0
-	for _, r := range reasons {
-		n += len(s.Controller().AlertsByReason(r))
+// AlertTotal sums the alerts every controller has raised.
+func (s *Scenario) AlertTotal() int {
+	total := 0
+	for _, st := range s.stacks {
+		total += len(st.ctl.Alerts())
 	}
-	return n
+	return total
 }
 
-// Close stops background tickers.
+// alerts counts the alerts every controller raised for any of the
+// reasons.
+func (s *Scenario) alerts(reasons []string) int {
+	total := 0
+	for _, st := range s.stacks {
+		for _, r := range reasons {
+			total += len(st.ctl.AlertsByReason(r))
+		}
+	}
+	return total
+}
+
+// Close stops every controller's defense tickers, the controllers and
+// the network.
 func (s *Scenario) Close() {
-	s.stop()
+	for i, st := range s.stacks {
+		st.Stop()
+		if i > 0 { // the network shuts its own controller down
+			st.ctl.Shutdown()
+		}
+	}
 	s.Net.Shutdown()
 }
 
-// defenseOptions derives the controller options a defense stack needs
-// (LLDP keychain, timestamped probes), shared by the serial and sharded
-// scenario constructors.
-func defenseOptions(def Defenses, extra []controller.Option) []controller.Option {
-	opts := extra
-	if def.TopoGuard || def.LLI {
-		kc, err := lldp.NewKeychain([]byte("controller-lldp-secret"))
-		if err == nil {
-			opts = append(opts, controller.WithKeychain(kc))
-		}
-	}
-	if def.LLI {
-		opts = append(opts, controller.WithLLDPTimestamps())
+// scenarioOptions builds the stack's controller options for one
+// scenario network.
+func scenarioOptions(def Defenses) []controller.Option {
+	opts, err := def.ControllerOptions(LLDPSecret)
+	if err != nil {
+		// Key derivation from a fixed secret cannot fail.
+		panic(err)
 	}
 	return opts
 }
 
-// defenseModules holds the deployed security modules of a scenario.
-type defenseModules struct {
-	TopoGuard *topoguard.TopoGuard
-	Sphinx    *sphinx.Sphinx
-	CMM       *tgplus.CMM
-	LLI       *tgplus.LLI
-	RateMon   *ratemon.Monitor
-}
-
-// stop halts the modules' background tickers.
-func (m defenseModules) stop() {
-	if m.Sphinx != nil {
-		m.Sphinx.Stop()
-	}
-	if m.LLI != nil {
-		m.LLI.Stop()
-	}
-	if m.RateMon != nil {
-		m.RateMon.Stop()
-	}
-}
-
-// stopWith halts the ticking modules while a controller replica is
-// crashed and restarts them when it revives.
-func (m defenseModules) stopWith(r *cluster.Replica) {
-	if m.LLI != nil {
-		r.OnCrash(m.LLI.Stop)
-		r.OnRestart(m.LLI.Start)
-	}
-	if m.RateMon != nil {
-		r.OnCrash(m.RateMon.Stop)
-		r.OnRestart(m.RateMon.Start)
-	}
-}
-
-// deployDefenses registers the selected modules on a controller. Call
-// after switches are added so module tickers observe a populated network.
-func deployDefenses(ctl *controller.Controller, def Defenses) defenseModules {
-	var m defenseModules
-	if def.TopoGuard {
-		m.TopoGuard = topoguard.New()
-		ctl.Register(m.TopoGuard)
-	}
-	if def.CMM {
-		m.CMM = tgplus.NewCMM(0)
-		ctl.Register(m.CMM)
-	}
-	if def.LLI {
-		cfg := tgplus.DefaultLLIConfig()
-		if def.LLIConfig != nil {
-			cfg = *def.LLIConfig
-		}
-		m.LLI = tgplus.NewLLI(cfg)
-		ctl.Register(m.LLI)
-		m.LLI.Start()
-	}
-	if def.Sphinx {
-		m.Sphinx = sphinx.New(sphinx.DefaultConfig())
-		ctl.Register(m.Sphinx)
-		m.Sphinx.Start()
-	}
-	if def.RateMon {
-		cfg := ratemon.DefaultConfig()
-		if def.RateMonConfig != nil {
-			cfg = *def.RateMonConfig
-		}
-		m.RateMon = ratemon.New(cfg)
-		ctl.Register(m.RateMon)
-		m.RateMon.Start()
-	}
-	return m
-}
-
-// newScenario creates a network with the defense stack's controller
-// options applied.
+// newScenario creates a network with the caller's controller options
+// and then the stack's.
 func newScenario(seed int64, def Defenses, extra ...controller.Option) *Scenario {
-	return &Scenario{Net: netsim.New(seed, defenseOptions(def, extra)...), Def: def}
+	return &Scenario{Net: netsim.New(seed, slices.Concat(extra, scenarioOptions(def))...), Def: def}
 }
 
-// deploy registers the selected modules. Call after switches are added so
-// module tickers observe a populated network.
-func (s *Scenario) deploy() { s.defenseModules = deployDefenses(s.Net.Controller, s.Def) }
+// deploy deploys the stack on the network's controller. Call after
+// switches are added so module tickers observe a populated network.
+func (s *Scenario) deploy() { s.deployOn(s.Net.Controller, nil) }
+
+// deployOn deploys the stack on one of the network's controllers,
+// wired to its cluster replica r when r is not nil.
+func (s *Scenario) deployOn(ctl *controller.Controller, r *cluster.Replica) {
+	m := s.Def.Deploy(ctl, r)
+	if len(s.stacks) == 0 {
+		s.Modules = m
+	}
+	s.stacks = append(s.stacks, stack{ctl, m})
+}
 
 // Host link latency used in the evaluation testbed (all dataplane links
 // are 5 ms in Figure 9).
@@ -323,7 +235,7 @@ func NewFatTreeScenario(seed int64, k int, def Defenses, ctlOpts ...controller.O
 // every shard count produces the same simulation (see
 // TestShardedByteIdentical).
 func NewShardedFatTreeScenario(seed int64, k, shards int, def Defenses, ctlOpts ...controller.Option) (*Scenario, *netsim.FatTreeTopology) {
-	net := netsim.NewSharded(seed, shards, netsim.FatTreePartition(k, shards), defenseOptions(def, ctlOpts)...)
+	net := netsim.NewSharded(seed, shards, netsim.FatTreePartition(k, shards), slices.Concat(ctlOpts, scenarioOptions(def))...)
 	return (&Scenario{Net: net, Def: def}).buildFatTree(k)
 }
 

@@ -66,11 +66,13 @@ func RunTableII(iters int) ([]TableIIRow, error) {
 	if iters <= 0 {
 		iters = 10000
 	}
-	kc, err := lldp.NewKeychain([]byte("bench-secret"))
+	// The keys a TOPOGUARD+ controller holds, through a signer of its
+	// own: the controller's path, with warm hash state and scratch.
+	opts, err := TopoGuardPlus().ControllerOptions("bench-secret")
 	if err != nil {
 		return nil, err
 	}
-	sg := kc.NewSigner() // the controller's path: warm hash state and scratch
+	sg := controller.New(sim.New(), opts...).Keychain().NewSigner()
 
 	// Construction: plain LLDP vs timestamped+signed LLDP.
 	now := time.Unix(1700000000, 0)

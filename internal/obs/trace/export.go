@@ -109,3 +109,14 @@ func WriteFile(path string, spans []Span) error {
 	}
 	return err
 }
+
+// WriteFileReport writes spans to path as WriteFile does and reports the
+// export to w as "trace: N spans written to PATH (D dropped from the
+// ring)", dropped being the recorder's eviction count.
+func WriteFileReport(w io.Writer, path string, spans []Span, dropped uint64) error {
+	if err := WriteFile(path, spans); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "trace: %d spans written to %s (%d dropped from the ring)\n", len(spans), path, dropped)
+	return err
+}

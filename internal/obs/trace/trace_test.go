@@ -193,11 +193,16 @@ func TestWriteFileBySuffix(t *testing.T) {
 		filepath.Join(dir, "t.jsonl"): jsonl.String(),
 		filepath.Join(dir, "t.json"):  chrome.String(),
 	} {
-		if err := WriteFile(path, spans); err != nil {
+		var report strings.Builder
+		if err := WriteFileReport(&report, path, spans, 3); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(path); err != nil || string(got) != want {
 			t.Fatalf("WriteFile(%s) = %q, %v; want %q", path, got, err, want)
+		}
+		// CI's sample-trace step greps this text.
+		if want := "trace: 1 spans written to " + path + " (3 dropped from the ring)\n"; report.String() != want {
+			t.Fatalf("report = %q, want %q", report.String(), want)
 		}
 	}
 }
