@@ -38,6 +38,8 @@ func TestChecks(t *testing.T) {
 		{"failover clean", checkFailover(&core.FailoverResult{}), false},
 		{"failover leak", checkFailover(&core.FailoverResult{PendingLeaked: 2}), true},
 		{"failover false alert", checkFailover(&core.FailoverResult{FalseAlerts: 1}), true},
+		{"scale clean", checkScale(16, 1024, 1024), false},
+		{"scale unanswered ping", checkScale(4, 7, 8), true},
 		{"dos clean", checkDoS(dosVariantRow{Variant: "syn", Blocks: 3, AttackerBlocks: 3}), false},
 		{"dos false block", checkDoS(dosVariantRow{Variant: "syn", Blocks: 3, FalseBlocks: 1}), true},
 		{"detection clean", checkDetection(detection("ofdp", 30*time.Second, 0), detection("softdp", time.Second, 0)), false},

@@ -540,11 +540,21 @@ func printObs(seed int64, metricsPath, tracePath string) error {
 	return nil
 }
 
+// checkScale fails a scale run in which any cross-pod ping went
+// unanswered.
+func checkScale(k, answered, sent int) error {
+	if answered != sent {
+		return fmt.Errorf("scale k=%d: %d of %d pings unanswered", k, sent-answered, sent)
+	}
+	return nil
+}
+
 // printScale runs the fat-tree scale benchmark: full discovery plus
 // reactive cross-pod forwarding under TOPOGUARD+. With shards == 0 it
 // keeps the legacy single-kernel path at k=4 and k=8; with shards >= 1
 // it runs the sharded kernel over the -scalek arities (k=16 builds
 // 320 switches, k=32 builds 1280 — only reachable on the sharded path).
+// It fails at the first arity whose pings are not all answered.
 func printScale(seed int64, shards int, scaleK string, rounds int, parallel bool, tracePath string) error {
 	if shards <= 0 {
 		if tracePath != "" {
@@ -561,6 +571,9 @@ func printScale(seed int64, shards int, scaleK string, rounds int, parallel bool
 			fmt.Printf("%-4d %-10d %-7d %-8d %-8d %d/%-6d %-10d %s\n",
 				r.K, r.Switches, r.Hosts, r.Trunks, r.DirectedLinks,
 				r.PingsAnswered, r.PingsSent, r.Events, r.Wall.Truncate(time.Millisecond))
+			if err := checkScale(r.K, r.PingsAnswered, r.PingsSent); err != nil {
+				return err
+			}
 		}
 		fmt.Println("(all trunks discovered in both directions; wall time is host-dependent)")
 		return nil
@@ -590,6 +603,9 @@ func printScale(seed int64, shards int, scaleK string, rounds int, parallel bool
 			r.K, r.Switches, r.Hosts, r.Trunks, r.CrossTrunks, r.DirectedLinks,
 			r.PingsAnswered, r.PingsSent, r.Events, r.Lookahead, r.Wall.Truncate(time.Millisecond))
 		fmt.Printf("     per-shard events: %v  LLI false positives: %d\n", r.ShardEvents, r.LLIAlerts)
+		if err := checkScale(r.K, r.PingsAnswered, r.PingsSent); err != nil {
+			return err
+		}
 		if tracePath != "" {
 			lastTraced = r
 		}

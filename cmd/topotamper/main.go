@@ -475,27 +475,11 @@ func launchAttack(s *core.Scenario, scenarioName, attackName string, logf func(s
 	return nil
 }
 
+// indent prefixes every line of s with two spaces. A final newline ends
+// the last line rather than opening an empty one, and "" stays "".
 func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		out += "  " + line + "\n"
+	if s == "" {
+		return ""
 	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	cur := ""
-	for _, r := range s {
-		if r == '\n' {
-			lines = append(lines, cur)
-			cur = ""
-			continue
-		}
-		cur += string(r)
-	}
-	if cur != "" {
-		lines = append(lines, cur)
-	}
-	return lines
+	return "  " + strings.ReplaceAll(strings.TrimSuffix(s, "\n"), "\n", "\n  ") + "\n"
 }

@@ -34,3 +34,19 @@ func TestFleetRejectsSingleRunOptions(t *testing.T) {
 		t.Fatalf("rejected fleets left files behind: %v, %v", entries, err)
 	}
 }
+
+// TestIndent pins indent's output, including the edge cases of empty
+// input, a trailing newline and blank lines.
+func TestIndent(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"", ""},
+		{"a", "  a\n"},
+		{"a\n", "  a\n"},
+		{"a\n\nb", "  a\n  \n  b\n"},
+		{"a\n\n", "  a\n  \n"},
+	} {
+		if got := indent(tc.in); got != tc.want {
+			t.Errorf("indent(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}

@@ -1,37 +1,36 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"sdntamper/internal/core"
 	"sdntamper/internal/link"
 	"sdntamper/internal/sim"
 	"sdntamper/internal/tgplus"
 	"sdntamper/internal/topoguard"
 )
 
-// runTB advances a testbed's clock, failing the test on kernel errors.
-func runTB(t *testing.T, tb *Testbed, d time.Duration) {
+// runTB advances a chaos line's clock, failing the test on kernel errors.
+func runTB(t *testing.T, tb *core.Scenario, d time.Duration) {
 	t.Helper()
 	if err := tb.Net.Run(d); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func newTB(t *testing.T, seed int64) *Testbed {
+func newTB(t *testing.T, seed int64) *core.Scenario {
 	t.Helper()
-	tb, err := NewTestbed(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := core.NewChaosLine(seed, nil)
 	t.Cleanup(tb.Close)
 	return tb
 }
 
 // alertReasonsAfter renders the distinct alert reasons raised after the
 // given index, for failure messages.
-func alertReasonsAfter(tb *Testbed, n int) string {
+func alertReasonsAfter(tb *core.Scenario, n int) string {
 	var reasons []string
 	for _, a := range tb.Net.Controller.Alerts()[n:] {
 		reasons = append(reasons, a.Module+"/"+a.Reason)
@@ -48,12 +47,9 @@ func alertReasonsAfter(tb *Testbed, n int) string {
 func TestLLDPLossAgesOutLinkAndReverifies(t *testing.T) {
 	// Steady trunk latency: the Figure 9 micro-bursts can legitimately
 	// trip the LLI, which would muddy the zero-spurious-alert assertion.
-	tb, err := NewTestbedWith(11, sim.Normal{
+	tb := core.NewChaosLine(11, sim.Normal{
 		Mean: 5 * time.Millisecond, Std: 200 * time.Microsecond, Min: 4 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(tb.Close)
 	ctl := tb.Net.Controller
 	runTB(t, tb, 40*time.Second)
@@ -95,7 +91,7 @@ func TestLLDPLossAgesOutLinkAndReverifies(t *testing.T) {
 
 	// Loss clears at t=60s; the next discovery round re-verifies.
 	runTB(t, tb, 40*time.Second)
-	if !linksEqual(ctl.Links(), baseline) {
+	if !slices.Equal(ctl.Links(), baseline) {
 		t.Fatalf("topology did not recover after loss cleared: %v", ctl.Links())
 	}
 
@@ -130,7 +126,7 @@ func TestFlapStormEvictsAndRecovers(t *testing.T) {
 		}
 	}
 	runTB(t, tb, 12*time.Second+20*time.Second) // storm over + rediscovery
-	if !linksEqual(ctl.Links(), baseline) {
+	if !slices.Equal(ctl.Links(), baseline) {
 		t.Fatalf("topology did not recover after flap storm: %v", ctl.Links())
 	}
 	if got := tb.Net.Metrics().Counter("chaos_carrier_flaps_total").Value(); got != 4 {
@@ -199,10 +195,7 @@ func TestInjectorPlansDeterministic(t *testing.T) {
 		mk := func() Plan {
 			if class == ClassControllerCrash {
 				// The crash class draws against a clustered control plane.
-				ctb, err := NewClusterTestbed(5, 2, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ctb := core.NewClusterChaosLine(5, nil)
 				defer ctb.Close()
 				inj := NewInjector(ctb.Net, 99)
 				inj.BindCluster(ctb.Cluster)

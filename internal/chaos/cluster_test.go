@@ -6,6 +6,7 @@ import (
 
 	"sdntamper/internal/chaos"
 	"sdntamper/internal/cluster"
+	"sdntamper/internal/core"
 	"sdntamper/internal/sim"
 )
 
@@ -15,14 +16,11 @@ func steadyTrunk() sim.Sampler {
 	return sim.Normal{Mean: 5 * time.Millisecond, Std: 200 * time.Microsecond, Min: 4 * time.Millisecond}
 }
 
-// warmCluster assembles a clustered testbed and runs warmup: discovery
-// verifies the trunks on both masters and one ping populates the HTS.
-func warmCluster(t *testing.T, seed int64) *chaos.ClusterTestbed {
+// warmCluster assembles a clustered chaos line and runs warmup:
+// discovery verifies the trunks on both masters.
+func warmCluster(t *testing.T, seed int64) *core.ClusterScenario {
 	t.Helper()
-	tb, err := chaos.NewClusterTestbed(seed, 2, steadyTrunk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := core.NewClusterChaosLine(seed, steadyTrunk())
 	if err := tb.Net.Run(40 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +119,7 @@ func TestFailoverReconverges(t *testing.T) {
 // TestFailoverSpanTimeline: the failover records the causal span chain
 // election.start -> role.handover -> state.replay -> rediscovery.done.
 func TestFailoverSpanTimeline(t *testing.T) {
-	tb, err := chaos.NewClusterTestbed(13, 2, steadyTrunk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := core.NewClusterChaosLine(13, steadyTrunk())
 	defer tb.Close()
 	tr := tb.Net.EnableTrace(0)
 	tb.Cluster.SetTracer(tr)

@@ -2,79 +2,16 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
+	"sdntamper/internal/cluster"
 	"sdntamper/internal/controller"
 	"sdntamper/internal/core"
 	"sdntamper/internal/dataplane"
 	"sdntamper/internal/exp"
-	"sdntamper/internal/netsim"
 	"sdntamper/internal/obs"
-	"sdntamper/internal/sim"
 )
-
-// Testbed is the chaos evaluation network: the Figure 9 line of four
-// switches and three trunks, two end hosts, and the full TopoGuard+
-// defense stack (TopoGuard + CMM + LLI) over authenticated, timestamped
-// LLDP. No attacker is present: every alert the defenses raise during a
-// fault episode is a false positive.
-type Testbed struct {
-	Net *netsim.Network
-	core.Modules
-}
-
-// NewTestbed assembles the chaos testbed on the given seed with the
-// Figure 9 bursty trunk latency — the realistic setting, where the LLI's
-// IQR threshold occasionally fires on genuine micro-bursts.
-func NewTestbed(seed int64) (*Testbed, error) {
-	return NewTestbedWith(seed, nil)
-}
-
-// NewTestbedWith assembles the testbed with a specific trunk latency
-// sampler (nil for the Figure 9 default). Tests asserting zero spurious
-// alerts pass a steady sampler so micro-bursts cannot trip the LLI.
-func NewTestbedWith(seed int64, trunkLatency sim.Sampler) (*Testbed, error) {
-	net, _, err := newLine(seed, trunkLatency, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Testbed{Net: net, Modules: stack.Deploy(net.Controller, nil)}, nil
-}
-
-// Close stops background tickers.
-func (tb *Testbed) Close() {
-	tb.Stop()
-	tb.Net.Shutdown()
-}
-
-// stack is the defense stack both chaos testbeds deploy on every
-// controller.
-var stack = core.TopoGuardPlus()
-
-// newLine builds the network both chaos testbeds run on: the Figure 9
-// line of four switches joined by three trunks (trunkLatency, nil for
-// the Figure 9 default) and end hosts h1 and h2 on the outer switches,
-// under a controller built with the stack's options. With autoAttach
-// off the switches are left for a cluster to attach. It also returns
-// those options, so extra replicas share the network's LLDP keychain.
-func newLine(seed int64, trunkLatency sim.Sampler, autoAttach bool) (*netsim.Network, []controller.Option, error) {
-	opts, err := stack.ControllerOptions(core.LLDPSecret)
-	if err != nil {
-		return nil, nil, err
-	}
-	net := netsim.New(seed, opts...)
-	net.SetAutoAttach(autoAttach)
-	for dpid := uint64(1); dpid <= 4; dpid++ {
-		net.AddSwitch(dpid, nil)
-	}
-	net.AddTrunk(1, 3, 2, 3, trunkLatency)
-	net.AddTrunk(2, 4, 3, 4, trunkLatency)
-	net.AddTrunk(3, 3, 4, 3, trunkLatency)
-	net.AddHost("h1", "cc:cc:cc:cc:cc:01", "10.0.0.1", 1, 1, nil)
-	net.AddHost("h2", "cc:cc:cc:cc:cc:02", "10.0.0.2", 4, 1, nil,
-		dataplane.WithOpenTCPPorts(80))
-	return net, opts, nil
-}
 
 // Config parameterizes a chaos experiment run.
 type Config struct {
@@ -172,9 +109,6 @@ func Run(cfg Config) (*Result, *obs.Registry, error) {
 	}
 	trials, merged, err := exp.GridInstrumented(specs, cfg.Workers,
 		func(s trialSpec) (TrialResult, *obs.Registry, error) {
-			if s.class == ClassControllerCrash {
-				return runClusterTrial(s, cfg)
-			}
 			return runTrial(s, cfg)
 		})
 	if err != nil {
@@ -206,16 +140,34 @@ func Run(cfg Config) (*Result, *obs.Registry, error) {
 	return res, merged, nil
 }
 
-// runTrial warms one testbed, injects a randomized plan of the given
-// class, then watches for the pre-fault topology to re-verify.
+// runTrial warms one chaos line, injects a randomized plan of the
+// given class, then watches for the pre-fault topology to re-verify.
+// The controller-crash class runs on the clustered line: its baseline
+// is the replicated store's link set, the injector draws against the
+// cluster, and recovery needs the whole control plane healed.
 func runTrial(s trialSpec, cfg Config) (TrialResult, *obs.Registry, error) {
-	tb, err := NewTestbed(s.seed)
-	if err != nil {
-		return TrialResult{}, nil, err
+	var tb *core.Scenario
+	var cl *cluster.Cluster
+	if s.class == ClassControllerCrash {
+		ctb := core.NewClusterChaosLine(s.seed, nil)
+		tb, cl = &ctb.Scenario, ctb.Cluster
+	} else {
+		tb = core.NewChaosLine(s.seed, nil)
 	}
 	defer tb.Close()
-	net := tb.Net
-	ctl := net.Controller
+	net, ctl := tb.Net, tb.Controller()
+
+	// A trial baselines its controller's link view and recovers when
+	// that view is back; a clustered trial baselines the replicated
+	// store and recovers when the whole control plane healed.
+	liveLinks := ctl.Links
+	recovered := func(baseline []controller.Link) bool { return slices.Equal(ctl.Links(), baseline) }
+	pending := func() int { return ctl.PendingProbes().Total() }
+	if cl != nil {
+		liveLinks = cl.LiveLinks
+		recovered = func(baseline []controller.Link) bool { return clusterRecovered(cl, baseline) }
+		pending = cl.PendingProbeTotal
+	}
 
 	// Warm: discovery verifies the trunks, the LLI builds control
 	// estimates, and one ping populates the host tracking service.
@@ -227,13 +179,16 @@ func runTrial(s trialSpec, cfg Config) (TrialResult, *obs.Registry, error) {
 	if err := net.Run(cfg.Warmup - 2*time.Second); err != nil {
 		return TrialResult{}, nil, err
 	}
-	baseline := ctl.Links()
+	baseline := liveLinks()
 	if len(baseline) == 0 {
 		return TrialResult{}, nil, fmt.Errorf("chaos: warmup discovered no links (seed %d)", s.seed)
 	}
-	alertsBefore := len(ctl.Alerts())
+	alertsBefore := tb.AlertTotal()
 
 	inj := NewInjector(net, s.seed)
+	if cl != nil {
+		inj.BindCluster(cl)
+	}
 	plan := inj.PlanFor(s.class)
 	if len(plan) == 0 {
 		return TrialResult{}, nil, fmt.Errorf("chaos: no plan for class %s", s.class)
@@ -244,10 +199,10 @@ func runTrial(s trialSpec, cfg Config) (TrialResult, *obs.Registry, error) {
 		return TrialResult{}, nil, err
 	}
 
-	// Watch: poll until every baseline link is back, or give up at the
-	// horizon. Recovery time runs from the instant the fault cleared.
+	// Watch: poll until the baseline is back, or give up at the horizon.
+	// Recovery time runs from the instant the fault cleared.
 	for waited := time.Duration(0); waited < cfg.Horizon; waited += recoveryPollInterval {
-		if linksEqual(ctl.Links(), baseline) {
+		if recovered(baseline) {
 			res.Recovered = true
 			res.RecoveryTime = waited
 			break
@@ -256,26 +211,44 @@ func runTrial(s trialSpec, cfg Config) (TrialResult, *obs.Registry, error) {
 			return TrialResult{}, nil, err
 		}
 	}
-	res.FalseAlerts = len(ctl.Alerts()) - alertsBefore
+	res.FalseAlerts = tb.AlertTotal() - alertsBefore
 
-	// Drain: stop periodic probing, let in-flight probes resolve or time
-	// out, then check the pending tables for leaks.
-	tb.LLI.Stop()
+	// Drain: stop every controller's periodic probing, let in-flight
+	// probes resolve or time out, then check the pending tables for
+	// leaks.
+	for _, m := range tb.Deployed() {
+		m.LLI.Stop()
+	}
 	if err := net.Run(10 * time.Second); err != nil {
 		return TrialResult{}, nil, err
 	}
-	res.PendingLeaked = ctl.PendingProbes().Total()
+	res.PendingLeaked = pending()
 	return res, net.Metrics(), nil
 }
 
-// linksEqual compares two sorted link snapshots.
-func linksEqual(a, b []controller.Link) bool {
-	if len(a) != len(b) {
+// clusterRecovered reports whether the whole control plane healed:
+// every replica is alive, at least one failover completed, and every
+// replica's link view matches the baseline.
+func clusterRecovered(cl *cluster.Cluster, baseline []controller.Link) bool {
+	if len(cl.Timelines()) == 0 {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	want := make(map[controller.Link]bool, len(baseline))
+	for _, l := range baseline {
+		want[l] = true
+	}
+	for _, rep := range cl.Replicas() {
+		if !rep.Alive() {
 			return false
+		}
+		links := rep.Ctl.Links()
+		if len(links) != len(want) {
+			return false
+		}
+		for _, l := range links {
+			if !want[l] {
+				return false
+			}
 		}
 	}
 	return true

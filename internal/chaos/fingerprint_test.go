@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sdntamper/internal/controller"
+	"sdntamper/internal/core"
 	"sdntamper/internal/netsim"
 )
 
@@ -44,12 +45,15 @@ func testbedDigest(net *netsim.Network, seed int64, class Class, rs ReplicaSet, 
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// TestTestbedFingerprints pins the bytes of both chaos testbeds across
+// TestTestbedFingerprints pins the bytes of both chaos lines, and of
+// Run's trial rows and merged snapshot over every class, across
 // commits, as core's TestUniverseFingerprints does for the scenarios:
 // the chaos determinism gates compare worker counts within one build and
-// would not notice the testbeds drifting. The constants were computed
-// before the two testbeds shared one builder and change only in a change
-// that re-baselines the universe deliberately (ROADMAP item 6).
+// would not notice the testbeds or the trial runner drifting. The
+// testbed constants were computed before the two lines shared one
+// builder, the Run constant before the lines became core scenarios and
+// the two trial runners one; they change only in a change that
+// re-baselines the universe deliberately (ROADMAP item 6).
 func TestTestbedFingerprints(t *testing.T) {
 	const seed = 5
 	cases := []struct {
@@ -58,18 +62,12 @@ func TestTestbedFingerprints(t *testing.T) {
 		want string
 	}{
 		{"testbed/loss-episode", func() (string, error) {
-			tb, err := NewTestbed(seed)
-			if err != nil {
-				return "", err
-			}
+			tb := core.NewChaosLine(seed, nil)
 			defer tb.Close()
 			return testbedDigest(tb.Net, seed, ClassLossEpisode, nil, tb.Net.Controller)
 		}, "9c70e42661452055b9b58867ac3d6b237174c1360f9bb4bd719a2bc3bfd07316"},
 		{"cluster-testbed/controller-crash", func() (string, error) {
-			tb, err := NewClusterTestbed(seed, 2, nil)
-			if err != nil {
-				return "", err
-			}
+			tb := core.NewClusterChaosLine(seed, nil)
 			defer tb.Close()
 			var ctls []*controller.Controller
 			for _, r := range tb.Cluster.Replicas() {
@@ -77,6 +75,20 @@ func TestTestbedFingerprints(t *testing.T) {
 			}
 			return testbedDigest(tb.Net, seed, ClassControllerCrash, tb.Cluster, ctls...)
 		}, "c4d7acb403181f225445d6050f1d0f8407b6364a714d70e6fd2e12a7f05ac09b"},
+		{"run/all-classes", func() (string, error) {
+			res, reg, err := Run(Config{Seed: seed, Trials: 2, Workers: 1})
+			if err != nil {
+				return "", err
+			}
+			h := sha256.New()
+			for _, tr := range res.Trials {
+				fmt.Fprintf(h, "%+v\n", tr)
+			}
+			if err := reg.Snapshot().WritePrometheus(h); err != nil {
+				return "", err
+			}
+			return hex.EncodeToString(h.Sum(nil)), nil
+		}, "4ffb6b661275407454363778279f5c9c7d809b3cc95bd4c912212dde6bab6482"},
 	}
 	for _, tc := range cases {
 		got, err := tc.run()

@@ -12,21 +12,20 @@ import (
 	"sdntamper/internal/dataplane"
 	"sdntamper/internal/netsim"
 	"sdntamper/internal/ratemon"
+	"sdntamper/internal/sim"
 	"sdntamper/internal/tgplus"
 	"sdntamper/internal/topoguard"
 )
 
-// ClusterScenario is the Figure 9 testbed under a replicated control
-// plane on a sharded network: two controller replicas on the control
-// shard, switches 1-2 mastered by replica 0 and switches 3-4 by
-// replica 1, every replica running its own copy of the selected defense
-// stack. The mastership split is chosen so the fabricated link's two
-// LLDP directions — (2,1)→(3,1) and (3,1)→(2,1) — are adjudicated by
-// DIFFERENT replicas, the partitioned-view condition the matrix
-// evaluates.
-//
-// Trunks use the steady (burst-free) latency so a defense alert in a
-// cluster experiment is evidence, never an IQR-tail artifact.
+// ClusterScenario is a Figure 9 line under a replicated control plane:
+// two controller replicas on the control shard, switches 1-2 mastered
+// by replica 0 and switches 3-4 by replica 1, every replica running its
+// own copy of the selected defense stack. In the clustered Figure 9
+// testbed the split makes the fabricated link's two LLDP directions —
+// (2,1)→(3,1) and (3,1)→(2,1) — adjudicated by DIFFERENT replicas, the
+// partitioned-view condition the matrix evaluates; its trunks use the
+// steady (burst-free) latency so a defense alert in a cluster
+// experiment is evidence, never an IQR-tail artifact.
 type ClusterScenario struct {
 	// Scenario's Modules are replica 0's; Run, Host, Close and the
 	// alert counts span every replica. OOB is the attackers' side
@@ -54,6 +53,9 @@ func fig9ClusterPartition(shards int) map[uint64]int {
 	return part
 }
 
+// replicas is the size of every replicated control plane.
+const replicas = 2
+
 // NewClusterFig9Scenario assembles the clustered Figure 9 testbed.
 // replicate selects whether the replicas share the replicated log (the
 // deployment mode) or run with fully isolated views (the
@@ -61,46 +63,72 @@ func fig9ClusterPartition(shards int) map[uint64]int {
 // baselines for a link's endpoints records the LLI measurement
 // unenforced instead of guessing.
 func NewClusterFig9Scenario(seed int64, shards int, def Defenses, replicate bool) *ClusterScenario {
-	// One set of options for the whole network: every replica shares its
-	// LLDP keychain.
+	return newClusterScenario(seed, def, replicate,
+		func(opts ...controller.Option) *netsim.Network {
+			return netsim.NewSharded(seed, shards, fig9ClusterPartition(shards), opts...)
+		},
+		func(s *Scenario) {
+			addFig9Line(s.Net, testbedHostLink())
+			s.Net.AddHost(HostClient, "cc:cc:cc:cc:cc:01", "10.0.0.1", 1, 1, testbedHostLink())
+			s.Net.AddHost(HostAttackerA, "aa:aa:aa:aa:aa:01", "10.0.0.11", 2, 1, testbedHostLink())
+			s.Net.AddHost(HostAttackerB, "aa:aa:aa:aa:aa:02", "10.0.0.12", 3, 1, testbedHostLink())
+			s.Net.AddHost(HostServer, "cc:cc:cc:cc:cc:02", "10.0.0.2", 4, 1, testbedHostLink(),
+				dataplane.WithOpenTCPPorts(80))
+			s.OOB = s.Net.AddOOBChannel(OOBLatency())
+		})
+}
+
+// NewClusterChaosLine builds the chaos line of NewChaosLine on one
+// kernel under a replicated control plane, for the controller-crash
+// fault class: TOPOGUARD+ on every replica, switches 1-2 mastered by
+// replica 0 and 3-4 by replica 1. An LLI records a measurement
+// unenforced while either switch lacks a control estimate, so the
+// post-handover blind window records unenforced passes instead of
+// spurious alerts.
+func NewClusterChaosLine(seed int64, trunkLatency sim.Sampler) *ClusterScenario {
+	return newClusterScenario(seed, TopoGuardPlus(), true,
+		func(opts ...controller.Option) *netsim.Network { return netsim.New(seed, opts...) },
+		func(s *Scenario) {
+			addFig9Line(s.Net, trunkLatency)
+			addChaosHosts(s.Net)
+		})
+}
+
+// newClusterScenario assembles every replicated control plane. newNet
+// creates the network on the stack's controller options and build adds
+// its switches and hosts; then the cluster takes the switches over,
+// each replica runs its own copy of the stack, and mastership splits
+// the switches down the middle, the first half on replica 0.
+//
+// The options are built once and every extra replica reuses them, so
+// the whole control plane holds one LLDP keychain. Extra replicas run on
+// the control kernel and record into the control shard's registry, so
+// merged metrics aggregate the whole control plane and stay
+// byte-identical across shard counts.
+func newClusterScenario(seed int64, def Defenses, replicate bool,
+	newNet func(opts ...controller.Option) *netsim.Network, build func(*Scenario)) *ClusterScenario {
 	opts := scenarioOptions(def)
-	net := netsim.NewSharded(seed, shards, fig9ClusterPartition(shards), opts...)
+	s := &ClusterScenario{Scenario: Scenario{Net: newNet(opts...), Def: def}}
+	net := s.Net
 	net.SetAutoAttach(false)
-	for dpid := uint64(1); dpid <= 4; dpid++ {
-		net.AddSwitch(dpid, nil)
-	}
-	net.AddTrunk(1, 3, 2, 3, testbedHostLink())
-	net.AddTrunk(2, 4, 3, 4, testbedHostLink())
-	net.AddTrunk(3, 3, 4, 3, testbedHostLink())
-	net.AddHost(HostClient, "cc:cc:cc:cc:cc:01", "10.0.0.1", 1, 1, testbedHostLink())
-	net.AddHost(HostAttackerA, "aa:aa:aa:aa:aa:01", "10.0.0.11", 2, 1, testbedHostLink())
-	net.AddHost(HostAttackerB, "aa:aa:aa:aa:aa:02", "10.0.0.12", 3, 1, testbedHostLink())
-	net.AddHost(HostServer, "cc:cc:cc:cc:cc:02", "10.0.0.2", 4, 1, testbedHostLink(),
-		dataplane.WithOpenTCPPorts(80))
-	oob := net.AddOOBChannel(OOBLatency())
+	build(&s.Scenario)
 
 	ccfg := cluster.DefaultConfig(seed)
 	ccfg.Metrics = net.ShardMetrics(0)
 	ccfg.Replicate = replicate
-	cl := cluster.New(net, ccfg)
-
-	s := &ClusterScenario{Scenario: Scenario{Net: net, Def: def, OOB: oob}, Cluster: cl}
-	for i := 0; i < 2; i++ {
+	s.Cluster = cluster.New(net, ccfg)
+	for i := 0; i < replicas; i++ {
 		ctl := net.Controller
 		if i > 0 {
-			// Extra replicas run on the control kernel and record into the
-			// control shard's registry, so merged metrics aggregate the
-			// whole control plane and stay byte-identical across shard
-			// counts.
 			ctl = controller.New(net.ControlKernel(),
 				append([]controller.Option{controller.WithMetrics(net.ShardMetrics(0))}, opts...)...)
 		}
-		s.deployOn(ctl, cl.AddReplica(ctl))
+		s.deployOn(ctl, s.Cluster.AddReplica(ctl))
 	}
-	cl.SetMaster(1, 0)
-	cl.SetMaster(2, 0)
-	cl.SetMaster(3, 1)
-	cl.SetMaster(4, 1)
+	dpids := net.SwitchIDs()
+	for i, dpid := range dpids {
+		s.Cluster.SetMaster(dpid, i*replicas/len(dpids))
+	}
 	return s
 }
 

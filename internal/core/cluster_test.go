@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sdntamper/internal/chaos"
 	"sdntamper/internal/controller"
 	"sdntamper/internal/core"
 	"sdntamper/internal/exp"
@@ -217,10 +216,7 @@ func TestReplicasShareOneKeychain(t *testing.T) {
 		})
 	}
 	t.Run("chaos-cluster-testbed", func(t *testing.T) {
-		tb, err := chaos.NewClusterTestbed(1, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tb := core.NewClusterChaosLine(1, nil)
 		defer tb.Close()
 		var ctls []*controller.Controller
 		for _, r := range tb.Cluster.Replicas() {

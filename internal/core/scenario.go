@@ -69,6 +69,16 @@ func (s *Scenario) alerts(reasons []string) int {
 	return total
 }
 
+// Deployed returns the modules deployed on each of the scenario's
+// controllers, the network's own first.
+func (s *Scenario) Deployed() []Modules {
+	out := make([]Modules, len(s.stacks))
+	for i, st := range s.stacks {
+		out[i] = st.Modules
+	}
+	return out
+}
+
 // Close stops every controller's defense tickers, the controllers and
 // the network.
 func (s *Scenario) Close() {
@@ -193,12 +203,7 @@ func VictimNewLocFig2() controller.PortRef { return controller.PortRef{DPID: 0x2
 // endpoints on the outer switches.
 func NewFig9Testbed(seed int64, def Defenses, ctlOpts ...controller.Option) *Scenario {
 	s := newScenario(seed, def, ctlOpts...)
-	for dpid := uint64(1); dpid <= 4; dpid++ {
-		s.Net.AddSwitch(dpid, nil)
-	}
-	s.Net.AddTrunk(1, 3, 2, 3, netsim.TestbedTrunkLatency())
-	s.Net.AddTrunk(2, 4, 3, 4, netsim.TestbedTrunkLatency())
-	s.Net.AddTrunk(3, 3, 4, 3, netsim.TestbedTrunkLatency())
+	addFig9Line(s.Net, nil)
 	s.Net.AddHost(HostClient, "cc:cc:cc:cc:cc:01", "10.0.0.1", 1, 1, testbedHostLink())
 	s.Net.AddHost(HostAttackerA, "aa:aa:aa:aa:aa:01", "10.0.0.11", 2, 1, testbedHostLink())
 	s.Net.AddHost(HostAttackerB, "aa:aa:aa:aa:aa:02", "10.0.0.12", 3, 1, testbedHostLink())
@@ -207,6 +212,39 @@ func NewFig9Testbed(seed int64, def Defenses, ctlOpts ...controller.Option) *Sce
 	s.OOB = s.Net.AddOOBChannel(OOBLatency())
 	s.deploy()
 	return s
+}
+
+// addFig9Line adds the switches of the Figure 9 line, 1 to 4, and the
+// three trunks joining them, (1,3)-(2,3), (2,4)-(3,4) and (3,3)-(4,3),
+// with the given trunk latency (nil for the bursty Figure 9 default).
+func addFig9Line(net *netsim.Network, trunkLatency sim.Sampler) {
+	for dpid := uint64(1); dpid <= 4; dpid++ {
+		net.AddSwitch(dpid, nil)
+	}
+	net.AddTrunk(1, 3, 2, 3, trunkLatency)
+	net.AddTrunk(2, 4, 3, 4, trunkLatency)
+	net.AddTrunk(3, 3, 4, 3, trunkLatency)
+}
+
+// NewChaosLine builds the chaos evaluation network: the Figure 9 line
+// with the given trunk latency (nil for the bursty Figure 9 default),
+// end hosts h1 and h2 on the outer switches, and TOPOGUARD+ over
+// authenticated, timestamped LLDP. No attacker is present: every alert
+// the defenses raise during a fault episode is a false positive.
+func NewChaosLine(seed int64, trunkLatency sim.Sampler) *Scenario {
+	s := newScenario(seed, TopoGuardPlus())
+	addFig9Line(s.Net, trunkLatency)
+	addChaosHosts(s.Net)
+	s.deploy()
+	return s
+}
+
+// addChaosHosts adds the chaos lines' end hosts, h1 on switch 1 and h2
+// on switch 4, with the default host link latency.
+func addChaosHosts(net *netsim.Network) {
+	net.AddHost("h1", "cc:cc:cc:cc:cc:01", "10.0.0.1", 1, 1, nil)
+	net.AddHost("h2", "cc:cc:cc:cc:cc:02", "10.0.0.2", 4, 1, nil,
+		dataplane.WithOpenTCPPorts(80))
 }
 
 // FabricatedLinkFig9 is the link fabricated between the colluding hosts'
