@@ -180,8 +180,8 @@ func BenchmarkFig5678_HijackRun(b *testing.B) {
 }
 
 // benchHijackDistributions measures an 8-trial Figure 5-8 experiment end to
-// end; the serial/parallel pair is the wall-clock speedup evidence recorded
-// in BENCH_pr1.json.
+// end; the serial/parallel pair is the wall-clock speedup evidence for the
+// parallel trial executor, and CHANGES.md records its first numbers.
 func benchHijackDistributions(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {

@@ -8,48 +8,11 @@ import (
 	"sdntamper/internal/chaos"
 )
 
-// chaosReport is the JSON artifact the chaos experiment writes: the
-// configuration that produced it plus per-class aggregates and the raw
-// per-trial rows. Everything runs on the virtual clock, so the file is
-// byte-identical for a fixed (seed, classes, trials) regardless of the
-// worker count.
-type chaosReport struct {
-	Experiment     string            `json:"experiment"`
-	Seed           int64             `json:"seed"`
-	TrialsPerClass int               `json:"trials_per_class"`
-	Classes        []chaosClassRow   `json:"classes"`
-	Trials         []chaosTrialRow   `json:"trials"`
-	Metrics        map[string]uint64 `json:"metrics"`
-}
-
-type chaosClassRow struct {
-	Class          string  `json:"class"`
-	Trials         int     `json:"trials"`
-	Recovered      int     `json:"recovered"`
-	MeanRecoveryMS float64 `json:"mean_recovery_ms"`
-	MaxRecoveryMS  float64 `json:"max_recovery_ms"`
-	FalseAlerts    int     `json:"false_alerts"`
-}
-
-type chaosTrialRow struct {
-	Class         string  `json:"class"`
-	Seed          int64   `json:"seed"`
-	FaultSpanMS   float64 `json:"fault_span_ms"`
-	Recovered     bool    `json:"recovered"`
-	RecoveryMS    float64 `json:"recovery_ms"`
-	FalseAlerts   int     `json:"false_alerts"`
-	PendingLeaked int     `json:"pending_leaked"`
-}
-
-func durMS(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
-}
-
 // printChaos runs the fault-injection experiment: per fault class, seeded
 // trials on the Figure 9 chaos testbed under the full TopoGuard+ stack,
 // measuring discovery recovery time, defense false positives, and
 // pending-probe leaks. A leak is an error. With outPath set it also
-// writes the JSON report.
+// writes the report.
 func printChaos(seed int64, trials, workers int, classesCSV, outPath string) error {
 	classes, err := parseChaosClasses(classesCSV)
 	if err != nil {
@@ -82,47 +45,22 @@ func printChaos(seed int64, trials, workers int, classesCSV, outPath string) err
 		return leakErr
 	}
 
-	if outPath == "" {
-		return nil
-	}
-	report := chaosReport{
-		Experiment:     "chaos",
-		Seed:           seed,
-		TrialsPerClass: trials,
-		Metrics:        map[string]uint64{},
-	}
-	for _, c := range res.Classes {
-		report.Classes = append(report.Classes, chaosClassRow{
-			Class:          string(c.Class),
-			Trials:         c.Trials,
-			Recovered:      c.Recovered,
-			MeanRecoveryMS: durMS(c.MeanRecovery),
-			MaxRecoveryMS:  durMS(c.MaxRecovery),
-			FalseAlerts:    c.FalseAlerts,
-		})
-	}
-	for _, t := range res.Trials {
-		report.Trials = append(report.Trials, chaosTrialRow{
-			Class:         string(t.Class),
-			Seed:          t.Seed,
-			FaultSpanMS:   durMS(t.FaultSpan),
-			Recovered:     t.Recovered,
-			RecoveryMS:    durMS(t.RecoveryTime),
-			FalseAlerts:   t.FalseAlerts,
-			PendingLeaked: t.PendingLeaked,
-		})
-	}
+	metrics := map[string]uint64{}
 	for _, c := range reg.Snapshot().Counters {
 		if strings.HasPrefix(c.Name, "chaos_") || strings.HasPrefix(c.Name, "controller_switch_") ||
 			c.Name == "controller_probe_failed_total" || c.Name == "controller_host_aged_out_total" {
-			report.Metrics[c.Name] = c.Value
+			metrics[c.Name] = c.Value
 		}
 	}
-	if err := writeJSON(outPath, report); err != nil {
-		return err
+	rep := report{
+		Experiment: "chaos",
+		Seed:       seed,
+		Note: "Every trial runs on the virtual clock, so the results are byte-identical " +
+			"for a fixed seed, class list and trial count whatever the worker count. " +
+			"Trials are not timed, so there are no wall rows.",
+		Results: map[string]any{"trials_per_class": trials, "classes": res.Classes, "trials": res.Trials, "metrics": metrics},
 	}
-	fmt.Printf("chaos report written to %s\n", outPath)
-	return nil
+	return rep.write(outPath)
 }
 
 // chaosLeaks totals the pending probes the trials leaked; any leak is an

@@ -6,64 +6,8 @@ import (
 
 	"sdntamper/internal/controller"
 	"sdntamper/internal/core"
+	"sdntamper/internal/exp"
 )
-
-// discoveryReport is the JSON artifact the discovery experiment writes
-// (BENCH_pr10.json). Everything except the wall columns is produced on
-// the virtual clock and reproduces exactly for a fixed seed; the
-// identity block is verified byte-identical across the shard/parallel
-// sweep before the file is written.
-type discoveryReport struct {
-	Experiment string                 `json:"experiment"`
-	Seed       int64                  `json:"seed"`
-	Note       string                 `json:"note"`
-	Load       []discoveryLoadRow     `json:"steady_state_load"`
-	Detection  []discoveryDetectRow   `json:"link_failure_detection"`
-	Identity   []discoveryIdentityRow `json:"softdp_shard_identity"`
-	Matrix     []discoveryMatrixRow   `json:"attack_matrix_by_protocol"`
-}
-
-type discoveryLoadRow struct {
-	K             int     `json:"k"`
-	Protocol      string  `json:"protocol"`
-	Switches      int     `json:"switches"`
-	Ports         int     `json:"ports"`
-	DirectedLinks int     `json:"directed_links"`
-	BFDSessions   int64   `json:"bfd_sessions"`
-	Probes        uint64  `json:"probes_in_window"`
-	ProbeBytes    uint64  `json:"probe_bytes_in_window"`
-	Events        uint64  `json:"kernel_events_in_window"`
-	ProbesPerSec  float64 `json:"probes_per_sec"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-	MeasureS      float64 `json:"measure_window_s"`
-	WallSeconds   float64 `json:"wall_seconds"`
-}
-
-type discoveryDetectRow struct {
-	Protocol        string   `json:"protocol"`
-	DetectionMS     float64  `json:"detection_latency_ms"`
-	DetectionFwdMS  float64  `json:"detection_fwd_ms"`
-	DetectionRevMS  float64  `json:"detection_rev_ms"`
-	EvictionReasons []string `json:"eviction_reasons"`
-	FalseEvictions  int      `json:"false_evictions"`
-	Recovered       bool     `json:"recovered"`
-	RecoveryMS      float64  `json:"recovery_latency_ms"`
-}
-
-type discoveryIdentityRow struct {
-	Shards      int     `json:"shards"`
-	Parallel    bool    `json:"parallel"`
-	Events      uint64  `json:"events_executed"`
-	Leaked      int     `json:"pending_leaked"`
-	WallSeconds float64 `json:"wall_seconds"`
-}
-
-type discoveryMatrixRow struct {
-	Attack           string `json:"attack"`
-	OFDPFullStack    string `json:"ofdp_full_stack"`
-	SOFTDPFullStack  string `json:"softdp_full_stack"`
-	SOFTDPNoDefenses string `json:"softdp_no_defenses"`
-}
 
 // checkDetection enforces the link-failure detection claims: sOFTDP
 // detects a dead trunk faster than OFDP and within OFDP's link timeout,
@@ -102,16 +46,17 @@ func printDiscovery(seed int64, kcsv, outPath string) error {
 	if err != nil {
 		return fmt.Errorf("-discoveryk: %w", err)
 	}
-	report := discoveryReport{
+	rep := report{
 		Experiment: "discovery",
 		Seed:       seed,
 		Note: "Steady-state load is measured over a 150 s window after a 400 s settle " +
 			"(sOFTDP's refresh backoff reaches its 150 s cap) on a quiescent fat-tree with " +
 			"no defenses and no host traffic. Detection kills a trunk silently (loss=1.0, " +
-			"no Port-Status) under TOPOGUARD+. The identity block is verified byte-identical " +
-			"across the shard/parallel sweep before this file is written. Wall columns are " +
+			"no Port-Status) under TOPOGUARD+. The identity result is verified byte-identical " +
+			"across the shard/parallel sweep before this file is written. Wall rows are " +
 			"the only host-dependent content.",
 	}
+	var loads []*core.DiscoveryLoadResult
 
 	header("DISCOVERY: steady-state load, OFDP sweep vs event-driven sOFTDP")
 	fmt.Printf("%-4s %-8s %-9s %-7s %-7s %-12s %-12s %-12s %s\n",
@@ -127,13 +72,8 @@ func printDiscovery(seed int64, kcsv, outPath string) error {
 				res.K, res.Protocol, res.Switches, res.Ports, res.DirectedLinks,
 				res.ProbesPerSec, float64(res.ProbeBytes)/res.MeasureVirtual.Seconds(),
 				res.EventsPerSec, res.BFDSessions)
-			report.Load = append(report.Load, discoveryLoadRow{
-				K: res.K, Protocol: res.Protocol, Switches: res.Switches, Ports: res.Ports,
-				DirectedLinks: res.DirectedLinks, BFDSessions: res.BFDSessions,
-				Probes: res.Probes, ProbeBytes: res.ProbeBytes, Events: res.Events,
-				ProbesPerSec: res.ProbesPerSec, EventsPerSec: res.EventsPerSec,
-				MeasureS: res.MeasureVirtual.Seconds(), WallSeconds: res.Wall.Seconds(),
-			})
+			loads = append(loads, res)
+			rep.addWall(fmt.Sprintf("load k=%d %s", res.K, res.Protocol), exp.Config{Shards: 1}, res.Wall)
 			if proto == controller.DiscoveryOFDP {
 				ofdp = res
 			} else {
@@ -168,16 +108,6 @@ func printDiscovery(seed int64, kcsv, outPath string) error {
 		fmt.Printf("%-8s %-16s %-24s %-8d %-10v %s\n",
 			res.Protocol, ms(res.Detection), strings.Join(res.EvictionReasons, ","),
 			res.FalseEvictions, res.Recovered, ms(res.Recovery))
-		report.Detection = append(report.Detection, discoveryDetectRow{
-			Protocol:        res.Protocol,
-			DetectionMS:     durMS(res.Detection),
-			DetectionFwdMS:  durMS(res.DetectionFwd),
-			DetectionRevMS:  durMS(res.DetectionRev),
-			EvictionReasons: res.EvictionReasons,
-			FalseEvictions:  res.FalseEvictions,
-			Recovered:       res.Recovered,
-			RecoveryMS:      durMS(res.Recovery),
-		})
 	}
 	if err := checkDetection(det[0], det[1]); err != nil {
 		return err
@@ -191,10 +121,7 @@ func printDiscovery(seed int64, kcsv, outPath string) error {
 	fmt.Printf("%-7s %-9s %-12s %-7s %s\n", "shards", "parallel", "events", "leaked", "wall")
 	for _, r := range idRows {
 		fmt.Printf("%-7d %-9v %-12d %-7d %.2fs\n", r.Shards, r.Parallel, r.Events, r.Leaked, r.Wall.Seconds())
-		report.Identity = append(report.Identity, discoveryIdentityRow{
-			Shards: r.Shards, Parallel: r.Parallel, Events: r.Events,
-			Leaked: r.Leaked, WallSeconds: r.Wall.Seconds(),
-		})
+		rep.addWall("identity", exp.Config{Shards: r.Shards, Parallel: r.Parallel}, r.Wall)
 	}
 	fmt.Println("sOFTDP churn scenario byte-identical across the shard/parallel sweep.")
 
@@ -206,19 +133,7 @@ func printDiscovery(seed int64, kcsv, outPath string) error {
 	fmt.Printf("%-48s %-12s %-14s %s\n", "Attack", "OFDP+full", "sOFTDP+full", "sOFTDP+none")
 	for _, r := range rows {
 		fmt.Printf("%-48s %-12s %-14s %s\n", r.Attack, r.OFDPFullStack, r.SOFTDPFullStack, r.SOFTDPNoDefenses)
-		report.Matrix = append(report.Matrix, discoveryMatrixRow{
-			Attack:           r.Attack,
-			OFDPFullStack:    string(r.OFDPFullStack),
-			SOFTDPFullStack:  string(r.SOFTDPFullStack),
-			SOFTDPNoDefenses: string(r.SOFTDPNoDefenses),
-		})
 	}
-
-	if outPath != "" {
-		if err := writeJSON(outPath, report); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", outPath)
-	}
-	return nil
+	rep.Results = map[string]any{"load": loads, "detection": det, "identity": idRows[0], "matrix": rows}
+	return rep.write(outPath)
 }

@@ -8,47 +8,9 @@ import (
 	"sdntamper/internal/exp"
 )
 
-// failoverReport is the JSON artifact the failover experiment writes.
-// Everything except the wall rows is produced on the virtual clock and
-// verified byte-identical across the shard/parallel sweep before the
-// file is written.
-type failoverReport struct {
-	Experiment string               `json:"experiment"`
-	Seed       int64                `json:"seed"`
-	Note       string               `json:"note"`
-	Failover   *core.FailoverResult `json:"failover_all_shard_counts"`
-	Matrix     []core.PartitionRow  `json:"partitioned_matrix_all_shard_counts"`
-	Wall       []failoverWallRow    `json:"wall_nondeterministic"`
-}
-
-type failoverWallRow struct {
-	Stage       string  `json:"stage"`
-	Shards      int     `json:"shards"`
-	Parallel    bool    `json:"parallel"`
-	WallSeconds float64 `json:"wall_seconds"`
-}
-
 // failoverConfigs is the sweep every stage runs: the serial single-shard
 // reference plus two sharded parallel configurations.
 var failoverConfigs = []exp.Config{{Shards: 1}, {Shards: 2, Parallel: true}, {Shards: 5, Parallel: true}}
-
-// failoverSweep runs one stage at every configuration through
-// exp.Equivalent and records each run's wall time.
-func failoverSweep[R any](report *failoverReport, stage string, run func(exp.Config) (R, exp.Fingerprint, error)) ([]R, error) {
-	results, err := exp.Equivalent(failoverConfigs, func(cfg exp.Config) (R, exp.Fingerprint, error) {
-		start := time.Now()
-		r, fp, err := run(cfg)
-		report.Wall = append(report.Wall, failoverWallRow{
-			Stage: stage, Shards: cfg.Shards, Parallel: cfg.Parallel,
-			WallSeconds: time.Since(start).Seconds(),
-		})
-		return r, fp, err
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", stage, err)
-	}
-	return results, nil
-}
 
 // checkFailover rejects probes leaked across the failover and defense
 // alerts it raised: no attacker is present, so every alert is spurious.
@@ -71,31 +33,27 @@ func checkFailover(fo *core.FailoverResult) error {
 // zero spurious alerts.
 func printFailover(seed int64, outPath string) error {
 	header("FAILOVER: controller replica crash and partitioned-view matrix")
-	report := failoverReport{
+	rep := report{
 		Experiment: "failover",
 		Seed:       seed,
-		Note: "Failover and matrix rows are produced on the virtual clock and verified " +
+		Note: "Failover and matrix results are produced on the virtual clock and verified " +
 			"byte-identical across the shard/parallel sweep before this file is written; " +
 			"wall rows are host-dependent. lli_blind_window_ns is the crash-to-relearn " +
 			"window during which the surviving master has no control-RTT baselines for " +
 			"the re-homed switches and records latency measurements unenforced.",
 	}
 
-	failovers, err := failoverSweep(&report, "failover", func(cfg exp.Config) (*core.FailoverResult, exp.Fingerprint, error) {
+	failovers, err := sweep(&rep, "failover", failoverConfigs, func(cfg exp.Config) (*core.FailoverResult, string, error) {
 		res, err := core.RunFailover(seed, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			return nil, exp.Fingerprint{}, err
+			return nil, "", err
 		}
-		// The shard/parallel identity fields differ by design.
-		inv := *res
-		inv.Shards, inv.Parallel = 0, false
-		return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+		return res, res.MetricsProm, nil
 	})
 	if err != nil {
 		return err
 	}
-	report.Failover = failovers[0]
-	fo := report.Failover
+	fo := failovers[0]
 	if err := checkFailover(fo); err != nil {
 		return err
 	}
@@ -109,20 +67,20 @@ func printFailover(seed int64, outPath string) error {
 	fmt.Printf("pending probes leaked: %d\n", fo.PendingLeaked)
 	fmt.Printf("spurious alerts      : %d\n", fo.FalseAlerts)
 
-	matrices, err := failoverSweep(&report, "matrix", func(cfg exp.Config) (*core.PartitionMatrixResult, exp.Fingerprint, error) {
+	matrices, err := sweep(&rep, "matrix", failoverConfigs, func(cfg exp.Config) (*core.PartitionMatrixResult, string, error) {
 		res, err := core.RunPartitionedMatrix(seed, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			return nil, exp.Fingerprint{}, err
+			return nil, "", err
 		}
-		return res, exp.Fingerprint{Invariants: res.Rows, Metrics: res.MetricsProm}, nil
+		return res, res.MetricsProm, nil
 	})
 	if err != nil {
 		return err
 	}
-	report.Matrix = matrices[0].Rows
+	rep.Results = map[string]any{"failover": fo, "partitioned_matrix": matrices[0]}
 	fmt.Println("\npartitioned-view matrix (switches 1-2 on replica 0, 3-4 on replica 1):")
 	fmt.Printf("%-45s %-11s %-11s %-11s %s\n", "Attack", "Replicated", "Fabricated", "Verdict", "Detected by")
-	for _, row := range report.Matrix {
+	for _, row := range matrices[0].Rows {
 		by := "-"
 		if len(row.DetectedBy) > 0 {
 			by = fmt.Sprint(row.DetectedBy)
@@ -132,18 +90,9 @@ func printFailover(seed int64, outPath string) error {
 
 	fmt.Println()
 	fmt.Printf("%-10s %-8s %-10s %s\n", "Stage", "Shards", "Parallel", "Wall")
-	for _, w := range report.Wall {
-		fmt.Printf("%-10s %-8d %-10v %s\n", w.Stage, w.Shards, w.Parallel,
-			time.Duration(w.WallSeconds*float64(time.Second)).Truncate(10*time.Millisecond))
+	for _, w := range rep.Wall {
+		fmt.Printf("%-10s %-8d %-10v %s\n", w.Stage, w.Shards, w.Parallel, w.wall())
 	}
 	fmt.Println("deterministic surface and merged metrics byte-identical across the shard/parallel sweep")
-
-	if outPath == "" {
-		return nil
-	}
-	if err := writeJSON(outPath, report); err != nil {
-		return err
-	}
-	fmt.Println("report written to", outPath)
-	return nil
+	return rep.write(outPath)
 }

@@ -12,28 +12,32 @@
 // The chaos experiment (fault injection, no attacker) and the fat-tree
 // scale experiment are opt-in — they are not part of "all":
 //
-//	benchharness -experiment chaos -chaostrials 5 -chaosout BENCH_pr3.json
+//	benchharness -experiment chaos -chaostrials 5 -out chaos.json
 //	benchharness -experiment scale -seed 7
 //	benchharness -experiment scale -shards 4 -scalek 16 -scalerounds 3
 //
 // So is the distributed-DoS experiment, which runs both flood variants
 // at 1 and 2 shards and verifies the deterministic surface matches:
 //
-//	benchharness -experiment dos -dosk 4 -dosfloor 30000 -dosout BENCH_pr8.json
+//	benchharness -experiment dos -dosk 4 -dosfloor 30000 -out dos.json
 //
 // And the clustered-controller failover experiment, which crashes a
 // replica mid-run, measures the deterministic reconvergence and the
 // LLI blind window, and evaluates the attack matrix under partitioned
 // controller views at 1, 2 and 5 shards:
 //
-//	benchharness -experiment failover -seed 21 -failoverout BENCH_pr9.json
+//	benchharness -experiment failover -seed 21 -out failover.json
 //
 // And the discovery-protocol experiment, which compares the OFDP sweep
 // against event-driven sOFTDP (steady-state load across fat-tree
 // arities, link-failure detection latency, shard byte-identity of the
 // sOFTDP event schedule, and the attack matrix under both protocols):
 //
-//	benchharness -experiment discovery -discoveryk 4,8,16,32 -discoveryout BENCH_pr10.json
+//	benchharness -experiment discovery -discoveryk 4,8,16,32 -out discovery.json
+//
+// Those four experiments write one JSON report schema with -out: the
+// experiment, the seed, a note, the verified results (shaped by the json
+// tags of the core result types) and the host-dependent wall rows.
 //
 // Profiling: -cpuprofile and -memprofile write pprof files for whatever
 // experiment ran. Profiles observe wall-clock behavior only; they do not
@@ -41,7 +45,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -79,17 +82,17 @@ func run(args []string) error {
 	scaleParallel := fs.Bool("scaleparallel", true, "scale experiment: run shard windows on parallel goroutines")
 	dosK := fs.Int("dosk", 4, "dos experiment: fat-tree arity")
 	dosFloor := fs.Float64("dosfloor", 0, "dos experiment: fail if any run executes fewer kernel events/s (0 = no floor)")
-	dosOut := fs.String("dosout", "", "dos experiment: write the JSON report to this file")
-	failoverOut := fs.String("failoverout", "", "failover experiment: write the JSON report to this file")
 	discoveryK := fs.String("discoveryk", "4,8,16,32", "discovery experiment: comma-separated fat-tree arities for the load scan")
-	discoveryOut := fs.String("discoveryout", "", "discovery experiment: write the JSON report to this file")
 	chaosTrials := fs.Int("chaostrials", 5, "chaos experiment: seeded trials per fault class")
 	chaosClasses := fs.String("chaosclasses", "", "chaos experiment: comma-separated fault classes (default all: flap-storm,loss-episode,latency-spike,disconnect,controller-crash)")
-	chaosOut := fs.String("chaosout", "", "chaos experiment: write the JSON report to this file")
+	out := fs.String("out", "", "dos, failover, discovery and chaos experiments: write the JSON report to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile, taken after the run, to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *out != "" && !reporters[*experiment] {
+		return fmt.Errorf("-out: experiment %q writes no report", *experiment)
 	}
 
 	if *cpuProfile != "" {
@@ -143,19 +146,19 @@ func run(args []string) error {
 		"ablation":   func(s int64, _ int) error { return printAblations(s) },
 		"obs":        func(s int64, _ int) error { return printObs(s, *metricsPath, *tracePath) },
 		"chaos": func(s int64, _ int) error {
-			return printChaos(s, *chaosTrials, *workers, *chaosClasses, *chaosOut)
+			return printChaos(s, *chaosTrials, *workers, *chaosClasses, *out)
 		},
 		"scale": func(s int64, _ int) error {
 			return printScale(s, *shards, *scaleK, *scaleRounds, *scaleParallel, *tracePath)
 		},
 		"dos": func(s int64, _ int) error {
-			return printDoS(s, *dosK, *dosFloor, *dosOut)
+			return printDoS(s, *dosK, *dosFloor, *out)
 		},
 		"failover": func(s int64, _ int) error {
-			return printFailover(s, *failoverOut)
+			return printFailover(s, *out)
 		},
 		"discovery": func(s int64, _ int) error {
-			return printDiscovery(s, *discoveryK, *discoveryOut)
+			return printDiscovery(s, *discoveryK, *out)
 		},
 	}
 
@@ -186,15 +189,6 @@ func header(title string) {
 
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-}
-
-// writeJSON writes an experiment report as indented JSON.
-func writeJSON(path string, report any) error {
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 func printTableI(seed int64) error {

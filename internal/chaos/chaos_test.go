@@ -9,8 +9,6 @@ import (
 	"sdntamper/internal/core"
 	"sdntamper/internal/link"
 	"sdntamper/internal/sim"
-	"sdntamper/internal/tgplus"
-	"sdntamper/internal/topoguard"
 )
 
 // runTB advances a chaos line's clock, failing the test on kernel errors.
@@ -295,9 +293,3 @@ func TestChaosSnapshotByteIdentical(t *testing.T) {
 		t.Fatalf("workers=8 chaos snapshot diverged from serial:\n--- serial ---\n%.2000s\n--- parallel ---\n%.2000s", want, got)
 	}
 }
-
-// Interface satisfaction pins for the defense stack the testbed deploys.
-var (
-	_ = (*topoguard.TopoGuard)(nil)
-	_ = (*tgplus.CMM)(nil)
-)

@@ -52,39 +52,40 @@ func (c Config) withDefaults() Config {
 // against the pre-fault baseline.
 const recoveryPollInterval = 250 * time.Millisecond
 
-// TrialResult is one trial's outcome.
+// TrialResult is one trial's outcome. Every field is on the virtual
+// clock, so it reproduces exactly for a fixed seed.
 type TrialResult struct {
-	Class Class
-	Seed  int64
+	Class Class `json:"class"`
+	Seed  int64 `json:"seed"`
 	// FaultSpan is how long the injected scenario stayed active.
-	FaultSpan time.Duration
+	FaultSpan time.Duration `json:"fault_span_ns"`
 	// Recovered reports whether the pre-fault link set was fully
 	// re-verified within the horizon after the fault cleared.
-	Recovered bool
+	Recovered bool `json:"recovered"`
 	// RecoveryTime is the time from fault clearing to full recovery.
-	RecoveryTime time.Duration
+	RecoveryTime time.Duration `json:"recovery_ns"`
 	// FalseAlerts counts defense alerts raised from injection to the end
 	// of the watch window. With no attacker present, all are spurious.
-	FalseAlerts int
+	FalseAlerts int `json:"false_alerts"`
 	// PendingLeaked counts probe waiters still outstanding after the
 	// trial drained — nonzero means a lifecycle leak.
-	PendingLeaked int
+	PendingLeaked int `json:"pending_leaked"`
 }
 
 // ClassResult aggregates one fault class.
 type ClassResult struct {
-	Class        Class
-	Trials       int
-	Recovered    int
-	MeanRecovery time.Duration
-	MaxRecovery  time.Duration
-	FalseAlerts  int
+	Class        Class         `json:"class"`
+	Trials       int           `json:"trials"`
+	Recovered    int           `json:"recovered"`
+	MeanRecovery time.Duration `json:"mean_recovery_ns"`
+	MaxRecovery  time.Duration `json:"max_recovery_ns"`
+	FalseAlerts  int           `json:"false_alerts"`
 }
 
 // Result is a full chaos experiment outcome.
 type Result struct {
-	Trials  []TrialResult
-	Classes []ClassResult
+	Trials  []TrialResult `json:"trials"`
+	Classes []ClassResult `json:"classes"`
 }
 
 // trialSpec is one work item of the class x seed grid.

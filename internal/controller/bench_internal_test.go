@@ -9,7 +9,8 @@ import (
 
 // White-box benchmarks of the reactive-forwarding hot path: shortest-path
 // resolution and egress-port selection. These are the per-PacketIn costs
-// the topology cache amortizes (BENCH_pr1.json records the before/after).
+// the topology cache amortizes (CHANGES.md records the before/after from
+// when the cache landed).
 
 // benchLineTopology wires a bidirectional line of n switches directly into
 // the controller's link tables, the way LLDP discovery would.

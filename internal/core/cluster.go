@@ -160,13 +160,13 @@ func (s *ClusterScenario) mergedProm() (string, error) {
 	return b.String(), nil
 }
 
-// FailoverResult is one clustered failover run. Every field except the
-// embedded wall-free surface is deterministic for a fixed seed and
-// byte-identical across shard counts and serial/parallel execution.
+// FailoverResult is one clustered failover run. Every tagged field is
+// deterministic for a fixed seed and byte-identical across shard counts
+// and serial/parallel execution.
 type FailoverResult struct {
 	Seed     int64 `json:"seed"`
-	Shards   int   `json:"shards"`
-	Parallel bool  `json:"parallel"`
+	Shards   int   `json:"-"`
+	Parallel bool  `json:"-"`
 
 	// Crash-relative virtual-time offsets of the failover span chain.
 	ElectionNs      int64 `json:"election_ns"`
@@ -296,11 +296,13 @@ type PartitionRow struct {
 	Verdict    Verdict  `json:"verdict"`
 }
 
-// PartitionMatrixResult is the partitioned-view attack matrix.
+// PartitionMatrixResult is the partitioned-view attack matrix. Every
+// tagged field is byte-identical across shard counts and serial/parallel
+// execution.
 type PartitionMatrixResult struct {
 	Seed     int64          `json:"seed"`
-	Shards   int            `json:"shards"`
-	Parallel bool           `json:"parallel"`
+	Shards   int            `json:"-"`
+	Parallel bool           `json:"-"`
 	Rows     []PartitionRow `json:"rows"`
 
 	// MetricsProm concatenates each row's deterministic merged snapshot

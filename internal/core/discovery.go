@@ -35,22 +35,22 @@ func protocolOpts(p controller.DiscoveryProtocol) []controller.Option {
 // window only, after the settle period has carried sOFTDP's refresh
 // backoff to its cap; Wall is the only host-dependent field.
 type DiscoveryLoadResult struct {
-	K             int
-	Protocol      string
-	Switches      int
-	Ports         int
-	Trunks        int
-	DirectedLinks int
-	BFDSessions   int64
+	K             int    `json:"k"`
+	Protocol      string `json:"protocol"`
+	Switches      int    `json:"switches"`
+	Ports         int    `json:"ports"`
+	Trunks        int    `json:"trunks"`
+	DirectedLinks int    `json:"directed_links"`
+	BFDSessions   int64  `json:"bfd_sessions"`
 
-	SettleVirtual  time.Duration
-	MeasureVirtual time.Duration
-	Probes         uint64 // LLDP probes emitted inside the window
-	ProbeBytes     uint64 // LLDP payload bytes inside the window
-	Events         uint64 // kernel events executed inside the window
-	ProbesPerSec   float64
-	EventsPerSec   float64
-	Wall           time.Duration
+	SettleVirtual  time.Duration `json:"settle_ns"`
+	MeasureVirtual time.Duration `json:"measure_window_ns"`
+	Probes         uint64        `json:"probes_in_window"`        // LLDP probes emitted inside the window
+	ProbeBytes     uint64        `json:"probe_bytes_in_window"`   // LLDP payload bytes inside the window
+	Events         uint64        `json:"kernel_events_in_window"` // kernel events executed inside the window
+	ProbesPerSec   float64       `json:"probes_per_sec"`
+	EventsPerSec   float64       `json:"events_per_sec"`
+	Wall           time.Duration `json:"-"`
 }
 
 // discoveryLoadSettle carries sOFTDP's per-link refresh backoff
@@ -113,15 +113,15 @@ func RunDiscoveryLoad(seed int64, k int, proto controller.DiscoveryProtocol) (*D
 // else got evicted on the way (false evictions) and how quickly the
 // topology healed once the trunk came back.
 type DiscoveryDetectionResult struct {
-	Protocol        string
-	Trunks          int
-	DetectionFwd    time.Duration // fault to eviction, A->B direction
-	DetectionRev    time.Duration // fault to eviction, B->A direction
-	Detection       time.Duration // max of the two (the topology is stale until both go)
-	EvictionReasons []string      // reasons for the two target evictions, in eviction order
-	FalseEvictions  int           // evictions of links other than the dead trunk's two
-	Recovered       bool          // both directions re-discovered after repair
-	Recovery        time.Duration // repair to second re-discovery
+	Protocol        string        `json:"protocol"`
+	Trunks          int           `json:"trunks"`
+	DetectionFwd    time.Duration `json:"detection_fwd_ns"`     // fault to eviction, A->B direction
+	DetectionRev    time.Duration `json:"detection_rev_ns"`     // fault to eviction, B->A direction
+	Detection       time.Duration `json:"detection_latency_ns"` // max of the two (the topology is stale until both go)
+	EvictionReasons []string      `json:"eviction_reasons"`     // reasons for the two target evictions, in eviction order
+	FalseEvictions  int           `json:"false_evictions"`      // evictions of links other than the dead trunk's two
+	Recovered       bool          `json:"recovered"`            // both directions re-discovered after repair
+	Recovery        time.Duration `json:"recovery_latency_ns"`  // repair to second re-discovery
 }
 
 // evictionLog records link evictions with their virtual timestamps.
@@ -254,15 +254,16 @@ func RunDiscoveryDetection(seed int64, proto controller.DiscoveryProtocol) (*Dis
 	return res, nil
 }
 
-// DiscoveryIdentityResult is one shard configuration's deterministic
-// fingerprint of the churn scenario RunDiscoveryByteIdentity drives.
+// DiscoveryIdentityResult is one shard configuration's run of the churn
+// scenario RunDiscoveryByteIdentity drives. The tagged fields and the
+// Fingerprint rendering must match across configurations.
 type DiscoveryIdentityResult struct {
-	Shards      int
-	Parallel    bool
-	Fingerprint string // links + merged metrics + executed events
-	Events      uint64
-	Leaked      int // pending probes left after the final drain (must be 0)
-	Wall        time.Duration
+	Shards      int           `json:"-"`
+	Parallel    bool          `json:"-"`
+	Fingerprint string        `json:"-"` // links + merged metrics + executed events
+	Events      uint64        `json:"events_executed"`
+	Leaked      int           `json:"pending_leaked"` // pending probes left after the final drain (must be 0)
+	Wall        time.Duration `json:"-"`
 }
 
 // discoveryIdentityConfigs is the shard/parallel sweep the sOFTDP
@@ -285,12 +286,12 @@ var discoveryIdentityConfigs = []exp.Config{
 // serial reference: sOFTDP's event timers derive from sim.MixSeed and
 // identity, never from kernel RNG state or shard geometry.
 func RunDiscoveryByteIdentity(seed int64) ([]DiscoveryIdentityResult, error) {
-	return exp.Equivalent(discoveryIdentityConfigs, func(cfg exp.Config) (DiscoveryIdentityResult, exp.Fingerprint, error) {
+	return exp.Equivalent(discoveryIdentityConfigs, func(cfg exp.Config) (DiscoveryIdentityResult, string, error) {
 		res, err := runDiscoveryIdentityOnce(seed, cfg.Shards, cfg.Parallel)
 		if err != nil {
-			return DiscoveryIdentityResult{}, exp.Fingerprint{}, err
+			return DiscoveryIdentityResult{}, "", err
 		}
-		return *res, exp.Fingerprint{Metrics: res.Fingerprint}, nil
+		return *res, res.Fingerprint, nil
 	})
 }
 
@@ -387,10 +388,10 @@ func runDiscoveryIdentityOnce(seed int64, shards int, parallel bool) (*Discovery
 // schedule denies an attacker before any defense module runs (a naive
 // LLDP relay starves: no periodic probes ever reach a quiet host port).
 type DiscoveryMatrixRow struct {
-	Attack           string
-	OFDPFullStack    Verdict
-	SOFTDPFullStack  Verdict
-	SOFTDPNoDefenses Verdict
+	Attack           string  `json:"attack"`
+	OFDPFullStack    Verdict `json:"ofdp_full_stack"`
+	SOFTDPFullStack  Verdict `json:"softdp_full_stack"`
+	SOFTDPNoDefenses Verdict `json:"softdp_no_defenses"`
 }
 
 // RunDiscoveryMatrix re-runs the seven attack rows under the discovery

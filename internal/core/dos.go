@@ -49,38 +49,39 @@ func dosLegitProfile() traffic.Profile {
 const dosBurstFlows = 150
 
 // DoSResult summarizes one distributed-DoS run against the FullStack
-// defenses. All fields except Wall and ShardEvents are deterministic for
-// a fixed seed and identical across shard counts and serial/parallel
-// execution.
+// defenses. Every tagged field is deterministic for a fixed seed and
+// identical across shard counts and serial/parallel execution; the
+// untagged ones are the configuration, its geometry, the wall clock and
+// the metrics text.
 type DoSResult struct {
-	Variant   string
-	K         int
-	Shards    int
-	Parallel  bool
-	Attackers int
-	Victim    string
+	Variant   string `json:"variant"`
+	K         int    `json:"k"`
+	Shards    int    `json:"-"`
+	Parallel  bool   `json:"-"`
+	Attackers int    `json:"attackers"`
+	Victim    string `json:"victim"`
 
 	// DetectionLatency is virtual time from attack start to the first
 	// auto-block (zero when nothing was blocked).
-	DetectionLatency time.Duration
-	Blocks           int // total auto-blocks
-	AttackerBlocks   int // blocks landing on attacker ports
-	VictimBlocks     int // blocks on the victim's own port (SYN backscatter)
-	FalseBlocks      int // blocks on any other port — must be zero
-	Unblocks         int
-	Reblocked        int // blocks of a previously released port
+	DetectionLatency time.Duration `json:"detection_latency_ns"`
+	Blocks           int           `json:"blocks"`                    // total auto-blocks
+	AttackerBlocks   int           `json:"attacker_blocks"`           // blocks landing on attacker ports
+	VictimBlocks     int           `json:"victim_backscatter_blocks"` // blocks on the victim's own port (SYN backscatter)
+	FalseBlocks      int           `json:"false_blocks"`              // blocks on any other port — must be zero
+	Unblocks         int           `json:"unblocks"`
+	Reblocked        int           `json:"reblocked"` // blocks of a previously released port
 
-	LegitFlows    uint64
-	LegitPackets  uint64
-	LegitBytes    uint64
-	AttackPackets uint64
-	PingsAnswered int
+	LegitFlows    uint64 `json:"legit_flows"`
+	LegitPackets  uint64 `json:"legit_packets"`
+	LegitBytes    uint64 `json:"legit_bytes"`
+	AttackPackets uint64 `json:"attack_packets"`
+	PingsAnswered int    `json:"pings_answered"`
 
-	Events      uint64        // total executed events (shard-count invariant)
-	ShardEvents []uint64      // per-shard executed events (geometry)
-	VirtualTime time.Duration // simulated span
-	Wall        time.Duration // host wall-clock cost (non-deterministic)
-	MetricsProm string        // merged registries, Prometheus text
+	Events      uint64        `json:"events_executed"` // total executed events (shard-count invariant)
+	ShardEvents []uint64      `json:"-"`               // per-shard executed events (geometry)
+	VirtualTime time.Duration `json:"virtual_time_ns"` // simulated span
+	Wall        time.Duration `json:"-"`               // host wall-clock cost (non-deterministic)
+	MetricsProm string        `json:"-"`               // merged registries, Prometheus text
 }
 
 // RunDoS runs the distributed DoS scenario on a k-ary fat-tree under the

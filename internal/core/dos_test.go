@@ -92,22 +92,19 @@ func TestDoSSaturationDetected(t *testing.T) {
 func TestDoSShardInvariant(t *testing.T) {
 	sweep := func(variant attack.DoSVariant, seed int64, configs []exp.Config) {
 		t.Helper()
-		_, err := exp.Equivalent(configs, func(cfg exp.Config) (*core.DoSResult, exp.Fingerprint, error) {
+		_, err := exp.Equivalent(configs, func(cfg exp.Config) (*core.DoSResult, string, error) {
 			run := func() (*core.DoSResult, error) { return core.RunDoS(seed, 4, cfg.Shards, cfg.Parallel, variant) }
 			if variant == attack.SYNFlood && cfg.Shards == 1 {
 				run = synfloodRef
 			}
 			res, err := run()
 			if err != nil {
-				return nil, exp.Fingerprint{}, err
+				return nil, "", err
 			}
 			if cfg.Shards == 1 {
 				checkDoS(t, res)
 			}
-			// Drop the configuration, the geometry and the wall clock.
-			inv := *res
-			inv.Shards, inv.Parallel, inv.ShardEvents, inv.Wall, inv.MetricsProm = 0, false, nil, 0, ""
-			return res, exp.Fingerprint{Invariants: inv, Metrics: res.MetricsProm}, nil
+			return res, res.MetricsProm, nil
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", variant, err)

@@ -11,40 +11,40 @@ import (
 	"sdntamper/internal/tgplus"
 )
 
-// ShardedScaleResult summarizes one sharded fat-tree scale run. All
-// fields except Wall and ShardEvents are deterministic for a fixed seed
-// and identical across shard counts and serial/parallel execution;
-// ShardEvents is deterministic per shard count (execution geometry), and
-// Wall is the only wall-clock quantity.
+// ShardedScaleResult summarizes one sharded fat-tree scale run. Every
+// tagged field is deterministic for a fixed seed and identical across
+// shard counts and serial/parallel execution. The untagged ones are the
+// configuration, its execution geometry (deterministic per shard
+// count), the wall clock and the rendered metrics and spans.
 type ShardedScaleResult struct {
-	K             int
-	Shards        int
-	Parallel      bool
-	Switches      int
-	Hosts         int
-	Trunks        int
-	CrossTrunks   int           // trunks paying the cross-shard mailbox path
-	Lookahead     time.Duration // longest conservative window
-	DirectedLinks int
-	LLIAlerts     int // abnormal-delay false positives (IQR fence tail, grows with k)
-	PingsSent     int
-	PingsAnswered int
-	Rounds        int
-	Events        uint64        // total executed events (shard-count invariant)
-	ShardEvents   []uint64      // per-shard executed events (geometry)
-	VirtualTime   time.Duration // simulated span
-	Wall          time.Duration // host wall-clock cost (non-deterministic)
-	MetricsProm   string        // merged per-shard registries, Prometheus text
-	HealthProm    string        // per-shard execution-geometry gauges (NOT shard-count invariant)
+	K             int           `json:"k"`
+	Shards        int           `json:"-"`
+	Parallel      bool          `json:"-"`
+	Switches      int           `json:"switches"`
+	Hosts         int           `json:"hosts"`
+	Trunks        int           `json:"trunks"`
+	CrossTrunks   int           `json:"-"` // trunks paying the cross-shard mailbox path
+	Lookahead     time.Duration `json:"-"` // longest conservative window
+	DirectedLinks int           `json:"directed_links"`
+	LLIAlerts     int           `json:"lli_alerts"` // abnormal-delay false positives (IQR fence tail, grows with k)
+	PingsSent     int           `json:"pings_sent"`
+	PingsAnswered int           `json:"pings_answered"`
+	Rounds        int           `json:"rounds"`
+	Events        uint64        `json:"events_executed"` // total executed events (shard-count invariant)
+	ShardEvents   []uint64      `json:"-"`               // per-shard executed events (geometry)
+	VirtualTime   time.Duration `json:"virtual_time_ns"` // simulated span
+	Wall          time.Duration `json:"-"`               // host wall-clock cost (non-deterministic)
+	MetricsProm   string        `json:"-"`               // merged per-shard registries, Prometheus text
+	HealthProm    string        `json:"-"`               // per-shard execution-geometry gauges (NOT shard-count invariant)
 
 	// Trace capture (only under RunShardedScaleTraced; zero otherwise).
 	// Spans is the canonical merged stream; SpansDropped counts ring
 	// overwrites, which must be zero for the stream to be shard-count
 	// invariant; ShardSpans counts the spans each shard's own recorder
 	// retained (execution geometry, like ShardEvents).
-	Spans        []trace.Span
-	SpansDropped uint64
-	ShardSpans   []int
+	Spans        []trace.Span `json:"-"`
+	SpansDropped uint64       `json:"-"`
+	ShardSpans   []int        `json:"-"`
 }
 
 // RunShardedScale builds a k-ary fat-tree under TOPOGUARD+ on the given

@@ -24,10 +24,10 @@ func TestTraceByteIdentical(t *testing.T) {
 	const seed, k, rounds = 424242, 4, 2
 
 	configs := []exp.Config{{Shards: 1}, {Shards: 2}, {Shards: 5}, {Shards: 5, Parallel: true}}
-	results, err := exp.Equivalent(configs, func(cfg exp.Config) (*ShardedScaleResult, exp.Fingerprint, error) {
+	results, err := exp.Equivalent(configs, func(cfg exp.Config) (*ShardedScaleResult, string, error) {
 		res, err := RunShardedScaleTraced(seed, k, cfg.Shards, cfg.Parallel, rounds)
 		if err != nil {
-			return nil, exp.Fingerprint{}, err
+			return nil, "", err
 		}
 		if res.SpansDropped != 0 {
 			t.Fatalf("%v: %d spans dropped from the ring — stream is no longer shard-count invariant", cfg, res.SpansDropped)
@@ -47,9 +47,9 @@ func TestTraceByteIdentical(t *testing.T) {
 		}
 		var sb strings.Builder
 		if err := trace.WriteJSONL(&sb, res.Spans); err != nil {
-			return nil, exp.Fingerprint{}, err
+			return nil, "", err
 		}
-		return res, exp.Fingerprint{Metrics: sb.String()}, nil
+		return res, sb.String(), nil
 	})
 	if err != nil {
 		t.Fatal(err)

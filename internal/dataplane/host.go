@@ -111,16 +111,6 @@ type Host struct {
 // HostOption configures a Host.
 type HostOption func(*Host)
 
-// WithIdentityChangeSampler overrides the ifconfig identity-change model.
-func WithIdentityChangeSampler(s sim.Sampler) HostOption {
-	return func(h *Host) { h.identityChange = s }
-}
-
-// WithDownUpSampler overrides the bare down/up cycle model.
-func WithDownUpSampler(s sim.Sampler) HostOption {
-	return func(h *Host) { h.downUp = s }
-}
-
 // WithOpenTCPPorts marks TCP ports that answer SYN with SYN-ACK.
 func WithOpenTCPPorts(ports ...uint16) HostOption {
 	return func(h *Host) {

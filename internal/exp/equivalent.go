@@ -14,36 +14,32 @@ type Config struct {
 
 func (c Config) String() string { return fmt.Sprintf("shards=%d parallel=%v", c.Shards, c.Parallel) }
 
-// Fingerprint is the deterministic surface of one run: everything that
-// must come out the same whatever the shard count or parallel mode.
-type Fingerprint struct {
-	// Invariants holds the result fields that must not depend on the
-	// configuration. It is compared as indented JSON, so a divergence
-	// points at one field.
-	Invariants any
-	// Metrics is the merged Prometheus snapshot, or another line-oriented
-	// rendering of the run such as its span stream.
-	Metrics string
-}
-
 // Equivalent runs run once per config, in order, on the calling
-// goroutine, and checks every fingerprint against the first config's:
-// the first config is the reference. It returns the results in config
-// order. An error from run comes back wrapped with its config; a
-// divergence names the config and the first line that differs.
-func Equivalent[R any](configs []Config, run func(Config) (R, Fingerprint, error)) ([]R, error) {
+// goroutine, and checks every run's fingerprint against the first
+// config's: the first config is the reference. A fingerprint is the
+// result itself, marshalled as indented JSON so a divergence points at
+// one field, followed by the line-oriented rendering run returns with
+// it, such as the merged Prometheus snapshot or the span stream. The
+// result type's json tags therefore define the compared surface: a
+// field that legitimately differs by configuration (the shard count,
+// the execution geometry, the wall clock) is tagged `json:"-"`.
+//
+// Equivalent returns the results in config order. An error from run
+// comes back wrapped with its config; a divergence names the config and
+// the first line that differs.
+func Equivalent[R any](configs []Config, run func(Config) (R, string, error)) ([]R, error) {
 	results := make([]R, 0, len(configs))
 	var ref []string
 	for _, cfg := range configs {
-		r, fp, err := run(cfg)
+		r, rendering, err := run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", cfg, err)
 		}
-		inv, err := json.MarshalIndent(fp.Invariants, "", "  ")
+		surface, err := json.MarshalIndent(r, "", "  ")
 		if err != nil {
 			return nil, fmt.Errorf("%v: %w", cfg, err)
 		}
-		lines := strings.Split(string(inv)+"\n"+fp.Metrics, "\n")
+		lines := strings.Split(string(surface)+"\n"+rendering, "\n")
 		if ref == nil {
 			ref = lines
 		}

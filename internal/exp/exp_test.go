@@ -217,27 +217,37 @@ func TestRunDefaultWorkers(t *testing.T) {
 
 var sweep = []Config{{Shards: 1}, {Shards: 2, Parallel: true}, {Shards: 5, Parallel: true}}
 
-// fingerprintBy runs a sweep whose fingerprint for each config comes from
-// fps, keyed by shard count.
-func fingerprintBy(fps map[int]Fingerprint) ([]int, error) {
-	return Equivalent(sweep, func(cfg Config) (int, Fingerprint, error) {
-		return cfg.Shards, fps[cfg.Shards], nil
+// sweepRun is one fake run's result. Shards differs by config and is
+// tagged out of the fingerprint; Events and the rendering are compared.
+type sweepRun struct {
+	Shards    int `json:"-"`
+	Events    int `json:"events"`
+	rendering string
+}
+
+// fingerprintBy runs a sweep whose result for each config comes from
+// runs, keyed by shard count.
+func fingerprintBy(runs map[int]sweepRun) ([]sweepRun, error) {
+	return Equivalent(sweep, func(cfg Config) (sweepRun, string, error) {
+		r := runs[cfg.Shards]
+		r.Shards = cfg.Shards
+		return r, r.rendering, nil
 	})
 }
 
 func TestEquivalentReferenceIsFirstConfig(t *testing.T) {
-	same := Fingerprint{Invariants: map[string]int{"events": 7}, Metrics: "a 1\nb 2\n"}
-	got, err := fingerprintBy(map[int]Fingerprint{1: same, 2: same, 5: same})
+	same := sweepRun{Events: 7, rendering: "a 1\nb 2\n"}
+	got, err := fingerprintBy(map[int]sweepRun{1: same, 2: same, 5: same})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(got) != "[1 2 5]" {
-		t.Fatalf("results = %v, want config order", got)
+	if len(got) != 3 || got[0].Shards != 1 || got[1].Shards != 2 || got[2].Shards != 5 {
+		t.Fatalf("results = %+v, want config order", got)
 	}
 	// 2 and 5 agree with each other but not with the first config: the
 	// first disagreeing config is reported against the first config.
-	other := Fingerprint{Invariants: map[string]int{"events": 8}, Metrics: same.Metrics}
-	_, err = fingerprintBy(map[int]Fingerprint{1: same, 2: other, 5: other})
+	other := sweepRun{Events: 8, rendering: same.rendering}
+	_, err = fingerprintBy(map[int]sweepRun{1: same, 2: other, 5: other})
 	if err == nil {
 		t.Fatal("divergence from the first config passed")
 	}
@@ -248,14 +258,14 @@ func TestEquivalentReferenceIsFirstConfig(t *testing.T) {
 }
 
 func TestEquivalentNamesFirstDifferingLine(t *testing.T) {
-	ref := Fingerprint{Metrics: "a 1\nb 2\nc 3\n"}
-	_, err := fingerprintBy(map[int]Fingerprint{1: ref, 2: ref, 5: {Metrics: "a 1\nb 9\nc 4\n"}})
+	ref := sweepRun{rendering: "a 1\nb 2\nc 3\n"}
+	_, err := fingerprintBy(map[int]sweepRun{1: ref, 2: ref, 5: {rendering: "a 1\nb 9\nc 4\n"}})
 	if err == nil {
-		t.Fatal("metrics divergence passed")
+		t.Fatal("rendering divergence passed")
 	}
 	msg := err.Error()
-	// Line 1 is the (null) invariants; the snapshot follows.
-	for _, want := range []string{"shards=5 parallel=true", "line 3:", "ref: b 2", "got: b 9"} {
+	// Lines 1-3 are the result's JSON; the rendering follows.
+	for _, want := range []string{"shards=5 parallel=true", "line 5:", "ref: b 2", "got: b 9"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q does not mention %q", msg, want)
 		}
@@ -263,19 +273,19 @@ func TestEquivalentNamesFirstDifferingLine(t *testing.T) {
 	if strings.Contains(msg, "c 4") {
 		t.Errorf("error %q reports past the first differing line", msg)
 	}
-	_, err = fingerprintBy(map[int]Fingerprint{1: ref, 2: {Metrics: ref.Metrics + "d 4\n"}, 5: ref})
-	if err == nil || !strings.Contains(err.Error(), "line 5:") || !strings.Contains(err.Error(), "got: d 4") {
-		t.Fatalf("extra snapshot line: error = %v", err)
+	_, err = fingerprintBy(map[int]sweepRun{1: ref, 2: {rendering: ref.rendering + "d 4\n"}, 5: ref})
+	if err == nil || !strings.Contains(err.Error(), "line 7:") || !strings.Contains(err.Error(), "got: d 4") {
+		t.Fatalf("extra rendering line: error = %v", err)
 	}
 }
 
 func TestEquivalentWrapsRunError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Equivalent(sweep, func(cfg Config) (int, Fingerprint, error) {
+	_, err := Equivalent(sweep, func(cfg Config) (int, string, error) {
 		if cfg.Shards == 5 {
-			return 0, Fingerprint{}, boom
+			return 0, "", boom
 		}
-		return 0, Fingerprint{}, nil
+		return 0, "", nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want it to wrap %v", err, boom)
@@ -288,12 +298,12 @@ func TestEquivalentWrapsRunError(t *testing.T) {
 func TestEquivalentRunsInOrderOnCallingGoroutine(t *testing.T) {
 	caller := goroutineID()
 	var order []Config
-	_, err := Equivalent(sweep, func(cfg Config) (int, Fingerprint, error) {
+	_, err := Equivalent(sweep, func(cfg Config) (int, string, error) {
 		if id := goroutineID(); id != caller {
 			t.Errorf("%v ran on goroutine %s, caller is %s", cfg, id, caller)
 		}
 		order = append(order, cfg)
-		return 0, Fingerprint{}, nil
+		return 0, "", nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -70,14 +70,14 @@ type ShardHealth struct {
 }
 
 // NewShardGroup builds a group over the given kernels, which must all
-// share the same epoch and start clock. Shard IDs are the kernel indices.
+// share the same start clock. Shard IDs are the kernel indices.
 func NewShardGroup(kernels ...*Kernel) *ShardGroup {
 	if len(kernels) == 0 {
 		panic("sim: shard group needs at least one kernel")
 	}
 	for _, k := range kernels[1:] {
-		if !k.epoch.Equal(kernels[0].epoch) || k.nowNs != kernels[0].nowNs {
-			panic("sim: shard kernels must share epoch and clock")
+		if k.nowNs != kernels[0].nowNs {
+			panic("sim: shard kernels must share a start clock")
 		}
 	}
 	return &ShardGroup{

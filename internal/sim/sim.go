@@ -48,7 +48,7 @@ import (
 	"sdntamper/internal/obs/trace"
 )
 
-// Epoch is the default virtual start-of-time for a Kernel. The specific
+// Epoch is the virtual start-of-time of every Kernel. The specific
 // date is arbitrary (the paper's publication venue date); only differences
 // between instants matter.
 var Epoch = time.Date(2018, time.June, 25, 0, 0, 0, 0, time.UTC)
@@ -159,9 +159,7 @@ func (e Event) Time() time.Time {
 // concurrent use: all components sharing a Kernel must run on the kernel's
 // event loop.
 type Kernel struct {
-	epoch    time.Time
-	epochOff int64 // epoch.Sub(Epoch), so Elapsed stays relative to Epoch
-	nowNs    int64 // virtual ns since epoch
+	nowNs int64 // virtual ns since Epoch
 
 	heap     []heapEntry
 	chunks   []*slotChunk // slot i is chunks[i/chunkSlots][i%chunkSlots]
@@ -185,14 +183,6 @@ func WithSeed(seed int64) Option {
 	return func(k *Kernel) { k.seed = seed }
 }
 
-// WithEpoch sets the virtual time at which the simulation begins.
-func WithEpoch(t time.Time) Option {
-	return func(k *Kernel) {
-		k.epoch = t
-		k.epochOff = int64(t.Sub(Epoch))
-	}
-}
-
 // WithEventLimit bounds the total number of events a kernel will execute
 // across all run calls. The default is 50 million.
 func WithEventLimit(n uint64) Option {
@@ -202,7 +192,6 @@ func WithEventLimit(n uint64) Option {
 // New creates a Kernel positioned at the epoch with an empty event queue.
 func New(opts ...Option) *Kernel {
 	k := &Kernel{
-		epoch:      Epoch,
 		seed:       1,
 		eventLimit: 50_000_000,
 	}
@@ -237,13 +226,13 @@ func (k *Kernel) Reset() {
 }
 
 // timeAt converts a virtual-ns offset to the public time.Time form.
-func (k *Kernel) timeAt(ns int64) time.Time { return k.epoch.Add(time.Duration(ns)) }
+func (k *Kernel) timeAt(ns int64) time.Time { return Epoch.Add(time.Duration(ns)) }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() time.Time { return k.timeAt(k.nowNs) }
 
 // Elapsed reports virtual time elapsed since the epoch.
-func (k *Kernel) Elapsed() time.Duration { return time.Duration(k.epochOff + k.nowNs) }
+func (k *Kernel) Elapsed() time.Duration { return time.Duration(k.nowNs) }
 
 // Rand exposes the kernel's deterministic random source. Components must
 // draw all randomness from it to keep runs reproducible.
@@ -293,7 +282,7 @@ func (k *Kernel) Schedule(d time.Duration, fn func()) Event {
 // ScheduleAt runs fn at virtual time t. Times in the past are clamped to
 // the current instant.
 func (k *Kernel) ScheduleAt(t time.Time, fn func()) Event {
-	at := int64(t.Sub(k.epoch))
+	at := int64(t.Sub(Epoch))
 	if at < k.nowNs {
 		at = k.nowNs
 	}
@@ -518,7 +507,7 @@ func (k *Kernel) RunFor(d time.Duration) error {
 // RunUntil executes events with firing times at or before deadline, then
 // advances the clock to exactly the deadline.
 func (k *Kernel) RunUntil(deadline time.Time) error {
-	return k.runUntilNs(int64(deadline.Sub(k.epoch)))
+	return k.runUntilNs(int64(deadline.Sub(Epoch)))
 }
 
 func (k *Kernel) runUntilNs(deadline int64) error {
